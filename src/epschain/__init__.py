@@ -16,7 +16,7 @@ from .rips import CycleClass, RipsSkeleton, build, is_bounded
 from .space import (PointCloud, Scale, SpaceSpec, as_scale, circle_cloud,
                     crest_height, generate, interval_cloud, load_cloud,
                     parallel_lines_cloud, save_cloud, texas_circle_cloud,
-                    texas_pair, texas_sample, warsaw_circle_cloud)
+                    texas_pair, texas_sample)
 
 __version__ = "0.1.0"
 
@@ -35,5 +35,5 @@ __all__ = [
     "parallel_lines_cloud", "refine_chain", "replay", "save_cloud",
     "texas_circle_cloud", "texas_crest_loop", "texas_dichotomy",
     "texas_obstruction_report", "texas_pair", "texas_sample",
-    "warsaw_circle_cloud", "weakly_chained_probe",
+    "weakly_chained_probe",
 ]

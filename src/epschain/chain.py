@@ -99,10 +99,6 @@ class Chain:
     def with_scale(self, scale) -> "Chain":
         return Chain(self.cloud, self.vertices, scale)
 
-    def canonical(self) -> tuple[int, ...]:
-        """Vertex tuple with consecutive duplicates collapsed."""
-        return collapse(self.vertices)
-
 
 def collapse(vertices: tuple[int, ...]) -> tuple[int, ...]:
     out = [vertices[0]]
@@ -271,11 +267,3 @@ def move_to_record(move: Move) -> dict:
     if isinstance(move, Insert):
         return {"op": "insert", "position": move.position, "vertex": move.vertex}
     return {"op": "delete", "position": move.position}
-
-
-def move_from_record(rec: dict) -> Move:
-    if rec.get("op") == "insert":
-        return Insert(int(rec["position"]), int(rec["vertex"]))
-    if rec.get("op") == "delete":
-        return Delete(int(rec["position"]))
-    raise DocumentError(f"bad move record: {rec!r}")

@@ -58,13 +58,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="sample a space family into a cloud document")
     g.add_argument("--family", required=True, choices=space.FAMILIES)
-    g.add_argument("--n", type=int, default=360, help="circle point count")
-    g.add_argument("--h", type=float, default=0.05, help="curve/axis sampling step")
-    g.add_argument("--hseg", type=float, default=None, help="segment sampling step")
-    g.add_argument("--m-end", type=float, default=8.0, help="domain end, in units of pi")
-    g.add_argument("--gap", type=float, default=1.0, help="parallel-lines vertical gap")
-    g.add_argument("--step", type=float, default=None, help="line/interval step")
-    g.add_argument("--length", type=float, default=5.0, help="line/interval length")
+    gs = g.add_argument_group("sampling", "a flag left unset takes the family sampler's own default")
+    gs.add_argument("--n", type=int, help="circle point count")
+    gs.add_argument("--h", type=float, help="curve/axis sampling step")
+    gs.add_argument("--hseg", dest="h_segment", type=float, metavar="HSEG",
+                    help="segment sampling step")
+    gs.add_argument("--m-end", type=float, help="domain end, in units of pi")
+    gs.add_argument("--gap", type=float, help="parallel-lines vertical gap")
+    gs.add_argument("--step", type=float, help="line/interval step")
+    gs.add_argument("--length", type=float, help="line/interval length")
     g.add_argument("--must-include", type=_parse_pair, action="append", default=[],
                    metavar="X,Y", help="exact coordinate forced into the sample")
     g.add_argument("--include-pair-at", type=int, default=None, metavar="N",
@@ -116,11 +118,12 @@ def build_parser() -> argparse.ArgumentParser:
     gp.add_argument("--out", default=None)
 
     t = sub.add_parser("texas", help="run the full texas_circle obstruction")
-    t.add_argument("--n", type=int, default=2)
-    t.add_argument("--mprime", type=int, default=5)
-    t.add_argument("--h", type=float, default=0.02, help="dichotomy sample step")
-    t.add_argument("--eps", type=float, default=0.5)
-    t.add_argument("--m-end", type=float, default=8.0)
+    ts = t.add_argument_group("experiment", "a flag left unset takes the report's own default")
+    ts.add_argument("--n", type=int, help="query pair at x = N*pi")
+    ts.add_argument("--mprime", type=int, help="dichotomy cut at (MPRIME-1)*pi")
+    ts.add_argument("--h", type=float, help="dichotomy sample step")
+    ts.add_argument("--eps", type=float, help="coarsest scale")
+    ts.add_argument("--m-end", type=float, help="domain end, in units of pi")
     _add_budget_flags(t)
     t.add_argument("--out", default=None)
 
@@ -133,25 +136,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _given(args, names) -> dict:
+    """The named flags the user set; unset ones keep the callee's defaults."""
+    return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+
+
 def _cmd_generate(args) -> int:
-    params = {}
-    if args.family == "circle":
-        params["n"] = args.n
-    elif args.family in ("texas_circle", "warsaw_circle"):
-        params["h"] = args.h
-        if args.hseg is not None:
-            params["h_segment"] = args.hseg
-        params["m_end"] = args.m_end
-    elif args.family == "parallel_lines":
-        params = {"gap": args.gap, "length": args.length}
-        if args.step is not None:
-            params["step"] = args.step
-    elif args.family == "interval":
-        params = {"length": args.length}
-        if args.step is not None:
-            params["step"] = args.step
-    elif args.family == "explicit":
+    if args.family == "explicit":
         raise DocumentError("explicit clouds come from documents, not generate")
+    params = _given(args, ("n", "h", "h_segment", "m_end", "gap", "step", "length"))
     must = list(args.must_include)
     if args.include_pair_at is not None:
         must.extend(space.texas_pair(args.include_pair_at))
@@ -240,8 +233,7 @@ def _cmd_gp(args) -> int:
 
 def _cmd_texas(args) -> int:
     report = joinability.texas_obstruction_report(
-        n=args.n, mprime=args.mprime, h=args.h, eps=args.eps,
-        m_end=args.m_end, budget=_budget(args))
+        **_given(args, ("n", "mprime", "h", "eps", "m_end")), budget=_budget(args))
     _emit(report, args.out)
     return EXIT_OK if report["reproduced"] else EXIT_NEGATIVE
 

@@ -40,6 +40,10 @@ class SearchBudget:
         if self.max_chain_length < 1 or self.max_states < 1:
             raise ValueError("budget fields must be >= 1")
 
+    def to_record(self) -> dict:
+        return {"max_chain_length": self.max_chain_length,
+                "max_states": self.max_states}
+
 
 def default_budget(c1: Chain, c2: Chain) -> SearchBudget:
     return SearchBudget(max_chain_length=4 * max(len(c1), len(c2), 2),
@@ -79,8 +83,7 @@ class HomotopyVerdict:
         if self.certificate is not None:
             rec["certificate_support"] = [list(e) for e in self.certificate.support()]
         if self.budget is not None:
-            rec["budget"] = {"max_chain_length": self.budget.max_chain_length,
-                             "max_states": self.budget.max_states}
+            rec["budget"] = self.budget.to_record()
         return rec
 
 
@@ -256,8 +259,8 @@ def are_homotopic(c1: Chain, c2: Chain, budget: SearchBudget | None = None,
 
     def done(middle, states):
         witness = tuple(prefix) + tuple(middle) + tuple(suffix)
-        final = replay(c1r, witness)
-        assert final.vertices == c2r.vertices, "witness replay drifted"
+        if replay(c1r, witness).vertices != c2r.vertices:
+            raise RuntimeError("witness replay drifted")
         return HomotopyVerdict("homotopic", witness=witness, budget=budget,
                                states_explored=states)
 
@@ -397,9 +400,8 @@ def classify(chains, budget: SearchBudget | None = None,
     groups: dict[int, list[int]] = {}
     for k in range(len(chains)):
         groups.setdefault(find(k), []).append(k)
-    for (a, b), v in verdicts.items():
-        assert not (v.is_not_homotopic and find(a) == find(b)), \
-            "certificate contradicts a witness"
+    if any(v.is_not_homotopic and find(a) == find(b) for (a, b), v in verdicts.items()):
+        raise RuntimeError("certificate contradicts a witness")
     blocks = tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
     flagged = tuple((a, b) for a, b in unknown if find(a) != find(b))
     return Classification(blocks, flagged)

@@ -16,16 +16,22 @@ failure between the curve/axis pair at x = n*pi.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rips
-from .chain import Chain, Move, chain_to_doc, find_chain
+from .chain import Chain, Move, _hops_from, chain_to_doc, find_chain
 from .documents import SCHEMA_VERSION
 from .homotopy import HomotopyVerdict, SearchBudget, is_short, replay
-from .space import PointCloud, Scale, as_scale, texas_pair, texas_sample
+from .space import (PointCloud, Scale, _row_bits, as_scale, texas_circle_cloud,
+                    texas_pair, texas_sample)
+
+# candidate fine chains tried per hop or pair: the shortest, then
+# vertex-disjoint alternatives
+MAX_ALTERNATIVES = 3
 
 
 @dataclass(frozen=True)
@@ -76,11 +82,10 @@ class RefinementFailure(Exception):
             f"hop {hop_index} {endpoints}: {reason} (candidate verdicts: {tried})")
 
 
-def _hop_candidates(cloud: PointCloud, u: int, w: int, fine: Scale,
-                    max_alternatives: int):
+def _hop_candidates(cloud: PointCloud, u: int, w: int, fine: Scale):
     """Shortest fine chain for a hop, then vertex-disjoint alternatives."""
     banned: set[int] = set()
-    for _ in range(max_alternatives):
+    for _ in range(MAX_ALTERNATIVES):
         cand = find_chain(cloud, u, w, fine, banned=banned)
         if cand is None:
             return
@@ -99,7 +104,7 @@ def _shift_moves(moves, offset: int) -> list[Move]:
 
 
 def _refine_with_witness(c: Chain, short_scale: Scale, fine_scale: Scale,
-                         budget: SearchBudget | None, max_alternatives: int):
+                         budget: SearchBudget | None):
     """Refine every hop; returns (fine chain, witness back to c at short_scale)."""
     cloud = c.cloud
     skel = rips.build(cloud, short_scale)
@@ -109,7 +114,7 @@ def _refine_with_witness(c: Chain, short_scale: Scale, fine_scale: Scale,
     for hop, (u, w) in enumerate(zip(v, v[1:])):
         outcomes = []
         chosen = None
-        for cand in _hop_candidates(cloud, u, w, fine_scale, max_alternatives):
+        for cand in _hop_candidates(cloud, u, w, fine_scale):
             verdict = is_short(cand.with_scale(short_scale), budget, skeleton=skel)
             outcomes.append((cand.vertices, verdict))
             if verdict.is_homotopic:
@@ -134,14 +139,13 @@ def _refine_with_witness(c: Chain, short_scale: Scale, fine_scale: Scale,
     witness: list[Move] = []
     for t in range(len(pieces) - 1, -1, -1):
         witness.extend(_shift_moves(piece_witnesses[t], offsets[t]))
-    final = replay(refined.with_scale(short_scale), witness)
-    assert final.vertices == v, "composed refinement witness drifted"
+    if replay(refined.with_scale(short_scale), witness).vertices != v:
+        raise RuntimeError("composed refinement witness drifted")
     return refined, tuple(witness)
 
 
 def refine_chain(c: Chain, short_scale, fine_scale,
-                 budget: SearchBudget | None = None,
-                 max_alternatives: int = 3) -> Chain:
+                 budget: SearchBudget | None = None) -> Chain:
     """Replace each hop with a fine chain certified short at the coarse scale.
 
     Raises :class:`RefinementFailure` (naming the first failing hop and the
@@ -150,8 +154,7 @@ def refine_chain(c: Chain, short_scale, fine_scale,
     short_scale, fine_scale = as_scale(short_scale), as_scale(fine_scale)
     if not fine_scale.epsilon < short_scale.epsilon:
         raise ValueError("fine_scale must be strictly below short_scale")
-    refined, _ = _refine_with_witness(c, short_scale, fine_scale, budget,
-                                      max_alternatives)
+    refined, _ = _refine_with_witness(c, short_scale, fine_scale, budget)
     return refined
 
 
@@ -217,8 +220,7 @@ class GeneralizedPathApprox:
 
 
 def build_generalized_path(cloud: PointCloud, x: int, y: int, filtration,
-                           budget: SearchBudget | None = None,
-                           max_alternatives: int = 3) -> GeneralizedPathApprox:
+                           budget: SearchBudget | None = None) -> GeneralizedPathApprox:
     """Run the inductive refinement schedule between two vertices.
 
     Level 1 is a shortest chain at the second scale, checked short at the
@@ -257,8 +259,7 @@ def build_generalized_path(cloud: PointCloud, x: int, y: int, filtration,
         fine_eps = eps[min(i + 1, k - 1)]
         try:
             refined, witness = _refine_with_witness(chains[-1], Scale(short_eps),
-                                                    Scale(fine_eps), budget,
-                                                    max_alternatives)
+                                                    Scale(fine_eps), budget)
         except RefinementFailure as exc:
             return partial(chains, compat, shortness,
                            ConstructionFailure("refinement", i + 1, str(exc),
@@ -326,20 +327,21 @@ class JoinabilityReport:
         }
 
 
-def _short_chain_for_pair(cloud, i, j, sigma: Scale, eps: Scale, budget,
-                          max_alternatives, skel) -> PairOutcome:
+def _short_chain_for_pair(cloud, i, j, sigma: Scale, eps: Scale, budget, skel,
+                          record_sigma: float | None) -> PairOutcome:
     dist = cloud.distance(i, j)
     tried = []
-    for cand in _hop_candidates(cloud, i, j, sigma, max_alternatives):
+    for cand in _hop_candidates(cloud, i, j, sigma):
         verdict = is_short(cand.with_scale(eps), budget, skeleton=skel)
         tried.append((cand.vertices, verdict.outcome))
         if verdict.is_homotopic:
-            return PairOutcome(i, j, dist, "passed", cand.vertices, tuple(tried))
+            return PairOutcome(i, j, dist, "passed", cand.vertices, tuple(tried),
+                               record_sigma)
     if not tried:
         return PairOutcome(i, j, dist, "refuted", None,
-                           ((None, "no_sigma_chain"),))
+                           ((None, "no_sigma_chain"),), record_sigma)
     outcome = "refuted" if all(o == "not_homotopic" for _, o in tried) else "unknown"
-    return PairOutcome(i, j, dist, outcome, None, tuple(tried))
+    return PairOutcome(i, j, dist, outcome, None, tuple(tried), record_sigma)
 
 
 def _delta_pairs(cloud: PointCloud, delta: float, seed: int,
@@ -358,7 +360,6 @@ def _delta_pairs(cloud: PointCloud, delta: float, seed: int,
 
 def local_joinability_scan(cloud: PointCloud, eps, delta, sigma, pairs=None,
                            budget: SearchBudget | None = None, seed: int = 0,
-                           max_alternatives: int = 3,
                            pair_threshold: int = 2000,
                            sample_cap: int = 500) -> JoinabilityReport:
     """Two-scale surrogate of local joinability at (eps, delta, sigma).
@@ -366,31 +367,15 @@ def local_joinability_scan(cloud: PointCloud, eps, delta, sigma, pairs=None,
     For every pair at distance <= delta, search sigma-chains (shortest, then
     vertex-disjoint alternatives) for one that is eps-short.  REFUTED pairs
     had every candidate certified non-short; UNKNOWN pairs exhausted the
-    budget somewhere.
+    budget somewhere.  This is :func:`weakly_chained_probe` at the single
+    fine scale sigma, reported as a ``joinability_report``.
     """
-    eps, delta, sigma = as_scale(eps), as_scale(delta), as_scale(sigma)
-    if not sigma.epsilon < delta.epsilon <= eps.epsilon:
-        raise ValueError("need sigma < delta <= eps")
-    policy = "given"
-    if pairs is None:
-        pairs, policy = _delta_pairs(cloud, delta.epsilon, seed, pair_threshold,
-                                     sample_cap)
-    skel = rips.build(cloud, eps)
-    records = [_short_chain_for_pair(cloud, i, j, sigma, eps, budget,
-                                     max_alternatives, skel)
-               for i, j in pairs]
-    params = {"eps": eps.epsilon, "delta": delta.epsilon, "sigma": sigma.epsilon,
-              "seed": seed, "pair_policy": policy,
-              "max_alternatives": max_alternatives,
-              "budget": None if budget is None else
-              {"max_chain_length": budget.max_chain_length,
-               "max_states": budget.max_states}}
-    return JoinabilityReport(cloud.name, params, tuple(records))
+    return _probe(cloud, eps, delta, [sigma], pairs, budget, seed,
+                  pair_threshold, sample_cap, single=True)
 
 
 def weakly_chained_probe(cloud: PointCloud, eps, delta, sigmas, pairs=None,
                          budget: SearchBudget | None = None, seed: int = 0,
-                         max_alternatives: int = 3,
                          pair_threshold: int = 2000,
                          sample_cap: int = 500) -> JoinabilityReport:
     """Do delta-close pairs admit eps-short chains at every listed fine scale?
@@ -398,6 +383,14 @@ def weakly_chained_probe(cloud: PointCloud, eps, delta, sigmas, pairs=None,
     One outcome per (pair, sigma); the probe passes only if every such
     combination found a short chain.
     """
+    return _probe(cloud, eps, delta, sigmas, pairs, budget, seed,
+                  pair_threshold, sample_cap, single=False)
+
+
+def _probe(cloud, eps, delta, sigmas, pairs, budget, seed, pair_threshold,
+           sample_cap, single: bool) -> JoinabilityReport:
+    # a single-sigma probe is a scan: its report names the one sigma in its
+    # parameters instead of in every pair record
     eps, delta = as_scale(eps), as_scale(delta)
     sig = [as_scale(s) for s in sigmas]
     if not sig:
@@ -405,28 +398,23 @@ def weakly_chained_probe(cloud: PointCloud, eps, delta, sigmas, pairs=None,
     if any(a.epsilon <= b.epsilon for a, b in zip(sig, sig[1:])):
         raise ValueError("fine scales must strictly decrease")
     if not sig[0].epsilon < delta.epsilon <= eps.epsilon:
-        raise ValueError("need sigma_1 < delta <= eps")
+        raise ValueError("need sigma < delta <= eps")
     policy = "given"
     if pairs is None:
         pairs, policy = _delta_pairs(cloud, delta.epsilon, seed, pair_threshold,
                                      sample_cap)
     skel = rips.build(cloud, eps)
-    records = []
-    for i, j in pairs:
-        for s in sig:
-            rec = _short_chain_for_pair(cloud, i, j, s, eps, budget,
-                                        max_alternatives, skel)
-            records.append(PairOutcome(rec.i, rec.j, rec.distance, rec.outcome,
-                                       rec.chain, rec.candidates,
-                                       sigma=s.epsilon))
-    params = {"eps": eps.epsilon, "delta": delta.epsilon,
-              "sigmas": [s.epsilon for s in sig], "seed": seed,
-              "pair_policy": policy, "max_alternatives": max_alternatives,
-              "budget": None if budget is None else
-              {"max_chain_length": budget.max_chain_length,
-               "max_states": budget.max_states}}
-    return JoinabilityReport(cloud.name, params, tuple(records),
-                             kind="weakly_chained_report")
+    records = tuple(_short_chain_for_pair(cloud, i, j, s, eps, budget, skel,
+                                          None if single else s.epsilon)
+                    for i, j in pairs for s in sig)
+    params = {"eps": eps.epsilon, "delta": delta.epsilon, "seed": seed,
+              "pair_policy": policy, "max_alternatives": MAX_ALTERNATIVES,
+              "budget": None if budget is None else budget.to_record()}
+    if single:
+        params["sigma"] = sig[0].epsilon
+        return JoinabilityReport(cloud.name, params, records)
+    params["sigmas"] = [s.epsilon for s in sig]
+    return JoinabilityReport(cloud.name, params, records, kind="weakly_chained_report")
 
 
 # ---------------------------------------------------------------------------
@@ -507,29 +495,8 @@ def texas_dichotomy(cloud: PointCloud, n: int, mprime: int, sigma=None,
     if delete_segment:
         keep &= labels != "segment"
     keep[xi] = keep[yi] = True
-    keep_mask = _indices_mask(np.nonzero(keep)[0])
-    bits = cloud.entourage_bits(sigma)
-    seen = {xi}
-    stack = [xi]
-    while stack:
-        u = stack.pop()
-        m = bits[u] & keep_mask & ~(1 << u)
-        while m:
-            w = (m & -m).bit_length() - 1
-            m &= m - 1
-            if w == yi:
-                return False
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return True
-
-
-def _indices_mask(indices) -> int:
-    m = 0
-    for v in indices:
-        m |= 1 << int(v)
-    return m
+    hops = _hops_from(cloud.entourage_bits(sigma), xi, len(cloud), ~_row_bits(keep))
+    return hops[yi] < 0
 
 
 def texas_crest_loop(cloud: PointCloud, scale=0.5, n: int = 2) -> Chain:
@@ -568,7 +535,8 @@ def texas_obstruction_report(n: int = 2, mprime: int = 5, h: float = 0.02,
     (eps, 1/(n*pi), 1/(mprime*pi)).
     """
     sigma = 1.0 / (mprime * math.pi)
-    default_cloud = texas_sample(h=0.05, m_end=m_end, n=n)
+    default_h = inspect.signature(texas_circle_cloud).parameters["h"].default
+    default_cloud = texas_sample(m_end=m_end, n=n)
     crest = crest_gap_check(default_cloud, eps=eps)
 
     dichotomy_cloud = texas_sample(h=h, m_end=m_end, n=n)
@@ -590,7 +558,7 @@ def texas_obstruction_report(n: int = 2, mprime: int = 5, h: float = 0.02,
         "kind": "texas_report",
         "parameters": {"n": n, "mprime": mprime, "h": h, "eps": eps,
                        "m_end": m_end, "sigma": sigma, "h_refine": h_refine,
-                       "default_h": 0.05},
+                       "default_h": default_h},
         "crest_gap": {"eps": eps, "holds": crest},
         "dichotomy": {"n": n, "mprime": mprime, "sigma": sigma, "h": h,
                       "holds": dichotomy, "control_with_segment": control},

@@ -62,14 +62,6 @@ class RipsSkeleton:
         return (f"RipsSkeleton(n={len(self.cloud)}, eps={self.scale.epsilon}, "
                 f"E={len(self.edges)}, T={len(self.triangles)})")
 
-    @property
-    def vertices(self) -> range:
-        return range(len(self.cloud))
-
-    def boundary1_columns(self):
-        """Per-edge vertex pairs: column e of the edge boundary matrix."""
-        return list(self.edges)
-
     def boundary2_columns(self):
         """Per-triangle edge-index triples: column t of the triangle boundary."""
         ei = self.edge_index
@@ -131,15 +123,11 @@ class RipsSkeleton:
             vec ^= 1 << idx
         return vec
 
-    def loop_vector(self, loop: Chain) -> int:
-        """GF(2) edge vector of a closed chain (unreduced)."""
-        if loop.vertices[0] != loop.vertices[-1]:
-            raise ValueError("loop_class needs a closed chain")
-        return self.path_vector(loop)
-
     def loop_class(self, loop: Chain) -> "CycleClass":
         """Homology class of a closed chain, reduced modulo triangle boundaries."""
-        return CycleClass(self, self.reduce_cycle(self.loop_vector(loop)))
+        if not loop.is_closed():
+            raise ValueError("loop_class needs a closed chain")
+        return CycleClass(self, self.reduce_cycle(self.path_vector(loop)))
 
     def betti1(self) -> int:
         """dim ker(edge boundary) - rank(triangle boundary) over GF(2)."""

@@ -12,6 +12,7 @@ the same scale are cheap and a cloud can be shared by concurrent readers.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -170,16 +171,15 @@ def _check_distance_matrix(mat: np.ndarray) -> None:
 # Example-space samplers
 # ---------------------------------------------------------------------------
 
-FAMILIES = ("texas_circle", "warsaw_circle", "circle", "parallel_lines", "interval", "explicit")
-
-
 @dataclass(frozen=True)
 class SpaceSpec:
     """Declarative recipe for a sampled space; ``generate`` turns it into a cloud.
 
-    ``params`` is family-specific (see the individual sampler functions).
-    ``must_include`` coordinates are forced verbatim into the sample and
-    labeled by their nearest sampled part.
+    ``params`` are keywords of the family's sampler function (of
+    :class:`PointCloud` for ``explicit``).  ``must_include`` coordinates are
+    forced verbatim into the sample and labeled by their nearest sampled
+    part.  A keyword the sampler does not take, or ``must_include`` for a
+    family whose sampler cannot force points, raises ValueError.
     """
 
     family: str
@@ -191,6 +191,13 @@ class SpaceSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         object.__setattr__(self, "must_include", tuple((float(x), float(y)) for x, y in self.must_include))
+        make = PointCloud if self.family == "explicit" else _SAMPLERS[self.family]
+        keywords = set(inspect.signature(make).parameters)
+        unknown = sorted(set(self.params) - (keywords - {"name", "must_include"}))
+        if self.must_include and "must_include" not in keywords:
+            unknown.append("must_include")
+        if unknown:
+            raise ValueError(f"family {self.family!r} takes no {', '.join(unknown)}")
 
 
 def crest_height(x):
@@ -271,41 +278,6 @@ def interval_cloud(length=1.0, step=0.05, name="interval"):
     return PointCloud(points=[(float(x), 0.0) for x in xs], name=name)
 
 
-def warsaw_circle_cloud(h=0.002, h_segment=0.05, x_max=1.0, m_end=8.0, name="warsaw_circle"):
-    """Small-scale cousin of texas_circle: sin(1/x) graph, left bar, closing arc.
-
-    The graph of sin(1/x) is sampled on [1/(m_end*pi), x_max]; the vertical
-    bar is {0} x [-1, 1]; three straight legs close the loop well below the
-    oscillation.  Provided for exploration; none of the shipped experiments
-    depend on it.
-    """
-    h, h_segment, x_max, m_end = float(h), float(h_segment), float(x_max), float(m_end)
-    if h <= 0 or h_segment <= 0:
-        raise ValueError("sampling steps must be strictly positive")
-    x_min = 1.0 / (m_end * np.pi)
-    if not x_min < x_max:
-        raise ValueError("m_end too small for the requested x_max")
-    xs = x_min + h * np.arange(int(np.floor((x_max - x_min) / h)) + 1)
-    pts: list[tuple[float, float]] = []
-    labels: list[str] = []
-    for x in xs:
-        pts.append((float(x), float(np.sin(1.0 / x))))
-        labels.append("graph")
-    for y in np.arange(-1.0, 1.0 + 1e-12, h_segment):
-        pts.append((0.0, float(y)))
-        labels.append("bar")
-    y_end = float(np.sin(1.0 / xs[-1]))
-    legs = [((x_max, y_end), (x_max, -2.0)), ((x_max, -2.0), (0.0, -2.0)), ((0.0, -2.0), (0.0, -1.0))]
-    for (x0, y0), (x1, y1) in legs:
-        seg_len = math.hypot(x1 - x0, y1 - y0)
-        steps = max(1, int(np.ceil(seg_len / h_segment)))
-        for t in range(steps):
-            u = t / steps
-            pts.append((float(x0 + u * (x1 - x0)), float(y0 + u * (y1 - y0))))
-            labels.append("arc")
-    return _assemble(pts, labels, ("graph", "bar", "arc"), (), name)
-
-
 def _assemble(pts, labels, parts, must_include, name) -> PointCloud:
     # drop exact coordinate duplicates (first part wins), then force inclusions
     seen = set()
@@ -337,35 +309,32 @@ def texas_pair(n: int) -> tuple[tuple[float, float], tuple[float, float]]:
     return (x, 1.0 / x), (x, 0.0)
 
 
-def texas_sample(h=0.05, h_segment=None, m_end=8.0, n=2, name="texas_circle") -> PointCloud:
-    """texas_circle sample that always contains the pair at x = n*pi."""
-    return texas_circle_cloud(h=h, h_segment=h_segment, m_end=m_end,
-                              must_include=texas_pair(n), name=name)
+def texas_sample(n=2, **sampler_args) -> PointCloud:
+    """texas_circle sample that always contains the pair at x = n*pi.
+
+    Other keywords go to :func:`texas_circle_cloud`, whose defaults apply.
+    """
+    return texas_circle_cloud(must_include=texas_pair(n), **sampler_args)
+
+
+_SAMPLERS = {"texas_circle": texas_circle_cloud, "circle": circle_cloud,
+             "parallel_lines": parallel_lines_cloud, "interval": interval_cloud}
+FAMILIES = (*_SAMPLERS, "explicit")
 
 
 def generate(spec: SpaceSpec) -> PointCloud:
-    """Build the cloud a SpaceSpec describes.  Deterministic per spec."""
-    p = dict(spec.params)
+    """Build the cloud a SpaceSpec describes.  Deterministic per spec.
+
+    ``spec.params`` go straight to the family's sampler as keywords, so a
+    parameter left out takes that sampler's own default.
+    """
     name = spec.name or spec.family
-    if spec.family == "texas_circle":
-        return texas_circle_cloud(h=p.pop("h", 0.05), h_segment=p.pop("h_segment", None),
-                                  m_end=p.pop("m_end", 8.0), must_include=spec.must_include,
-                                  name=name, **p)
-    if spec.family == "warsaw_circle":
-        return warsaw_circle_cloud(name=name, **p)
-    if spec.family == "circle":
-        return circle_cloud(n=p.pop("n", 360), name=name, **p)
-    if spec.family == "parallel_lines":
-        return parallel_lines_cloud(gap=p.pop("gap", 1.0), step=p.pop("step", 0.05),
-                                    length=p.pop("length", 5.0), must_include=spec.must_include,
-                                    name=name, **p)
-    if spec.family == "interval":
-        return interval_cloud(length=p.pop("length", 1.0), step=p.pop("step", 0.05),
-                              name=name, **p)
     if spec.family == "explicit":
+        p = spec.params
         return PointCloud(points=p.get("points"), matrix=p.get("matrix"),
                           labels=p.get("labels"), parts=p.get("parts") or None, name=name)
-    raise ValueError(f"unknown family {spec.family!r}")
+    inclusions = {"must_include": spec.must_include} if spec.must_include else {}
+    return _SAMPLERS[spec.family](**spec.params, **inclusions, name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,14 @@ from .space import PointCloud
 
 _PART_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 _CHAIN_COLORS = ("#ff7f0e", "#17becf", "#bcbd22", "#7f7f7f")
+_POINT_RADIUS = 2.0
 
 
 def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
-def cloud_figure(cloud: PointCloud, chains=(), width: int = 900,
-                 point_radius: float = 2.0) -> str:
+def cloud_figure(cloud: PointCloud, chains=(), width: int = 900) -> str:
     """Render a coordinate cloud (and chains over it) as an SVG 1.1 document."""
     if cloud.points is None:
         raise ValueError("only coordinate clouds can be drawn")
@@ -65,7 +65,7 @@ def cloud_figure(cloud: PointCloud, chains=(), width: int = 900,
         if cloud.labels is not None:
             fill = color_of.get(cloud.labels[idx], fill)
         ET.SubElement(svg, "circle", cx=_fmt(px), cy=_fmt(py),
-                      r=_fmt(point_radius), fill=fill)
+                      r=_fmt(_POINT_RADIUS), fill=fill)
     return ET.tostring(svg, encoding="unicode") + "\n"
 
 

@@ -1,10 +1,12 @@
 import json
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
-from epschain import (Chain, chain_to_doc, circle_cloud, load_cloud,
-                      parallel_lines_cloud, save_cloud)
+from epschain import (Chain, SpaceSpec, chain_to_doc, circle_cloud, generate,
+                      interval_cloud, load_cloud, parallel_lines_cloud, save_cloud,
+                      texas_circle_cloud)
 from epschain.cli import run
 from epschain.documents import dumps_doc, write_doc
 from epschain.svgfig import cloud_figure
@@ -189,3 +191,30 @@ def test_report_documents_are_canonical(tmp_path):
     # identical inputs, identical bytes, regardless of dict construction order
     doc = {"b": 1, "a": [2, 3]}
     assert dumps_doc(doc) == dumps_doc({"a": [2, 3], "b": 1})
+
+
+@pytest.mark.parametrize("family, sampler", [
+    ("circle", circle_cloud), ("texas_circle", texas_circle_cloud),
+    ("parallel_lines", parallel_lines_cloud), ("interval", interval_cloud)])
+def test_generate_defaults_are_the_samplers(tmp_path, family, sampler):
+    out = tmp_path / "cloud.json"
+    assert run(["generate", "--family", family, "--out", str(out)]) == 0
+    expected = sampler().points
+    assert np.array_equal(load_cloud(out).points, expected)
+    assert np.array_equal(generate(SpaceSpec(family)).points, expected)
+
+
+def test_generated_parallel_lines_pass_the_scan(tmp_path):
+    space = tmp_path / "lines.json"
+    assert run(["generate", "--family", "parallel_lines", "--out", str(space)]) == 0
+    out = tmp_path / "scan.json"
+    assert run(["scan", "--space", str(space), "--eps", "0.5", "--delta", "0.2",
+                "--sigma", "0.05", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["summary"]["refuted"] == 0
+
+
+@pytest.mark.parametrize("flags", [["--include-pair-at", "2"], ["--must-include", "0,0"],
+                                   ["--h", "0.1"]])
+def test_generate_rejects_flags_the_family_ignores(capsys, flags):
+    assert run(["generate", "--family", "circle"] + flags) == 2
+    assert "'circle'" in capsys.readouterr().err

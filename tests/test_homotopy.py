@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from epschain import (Chain, Delete, PointCloud, SearchBudget, are_homotopic,
-                      circle_cloud, classify, collapse, interval_cloud, is_null,
-                      is_short, oracle_classes, replay)
+from epschain import (Chain, Delete, HomotopyVerdict, PointCloud, SearchBudget,
+                      are_homotopic, circle_cloud, classify, collapse,
+                      interval_cloud, is_null, is_short, oracle_classes, replay)
 from util import random_cloud, random_scale, random_walk_chain
 
 
@@ -216,3 +216,28 @@ def test_homotopic_witness_survives_coarser_scale():
         out = replay(c1.with_scale(coarse), v.witness)
         assert collapse(out.vertices) == collapse(c2.vertices)
         done += 1
+
+
+def test_drifting_witness_raises_runtime_error(monkeypatch):
+    # the replay check must survive python -O, so it cannot be an assert
+    from epschain import homotopy
+
+    cloud = circle_cloud(6)
+    monkeypatch.setattr(homotopy, "replay", lambda chain, moves: chain)
+    with pytest.raises(RuntimeError, match="drifted"):
+        are_homotopic(Chain(cloud, [0, 1, 2], 2.0), Chain(cloud, [0, 2], 2.0))
+
+
+def test_classify_contradiction_raises_runtime_error(monkeypatch):
+    from epschain import homotopy
+
+    cloud = circle_cloud(6)
+    chains = [Chain(cloud, v, 2.0) for v in ([0, 2], [0, 1, 2], [0, 3, 2])]
+
+    def contradicting(c1, c2, budget=None, skeleton=None):
+        refuted = c1 is chains[0] and c2 is chains[2]
+        return HomotopyVerdict("not_homotopic" if refuted else "homotopic")
+
+    monkeypatch.setattr(homotopy, "are_homotopic", contradicting)
+    with pytest.raises(RuntimeError, match="contradicts"):
+        classify(chains)

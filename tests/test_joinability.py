@@ -281,3 +281,32 @@ def test_obstruction_report_small():
     assert not report["dichotomy"]["control_with_segment"]
     assert report["refinement"]["accepted"] is False
     assert report["reproduced"]
+
+
+def test_drifting_refinement_witness_raises_runtime_error(monkeypatch):
+    from epschain import joinability
+
+    cloud = interval_cloud(length=1.0, step=0.0625)
+    monkeypatch.setattr(joinability, "replay", lambda chain, moves: chain)
+    with pytest.raises(RuntimeError, match="drifted"):
+        refine_chain(Chain(cloud, [0, 10], 0.625), 0.625, 0.0625)
+
+
+def test_scan_is_the_single_sigma_probe():
+    cloud = circle_cloud(12)
+    # neighbours on the 12-gon are 0.518 apart, so no pair is within delta = 0.5
+    # on its own; these pairs give a refuted, a passed and a refuted record
+    pairs = [(0, 1), (2, 2), (3, 5)]
+    doc = local_joinability_scan(cloud, 0.9, 0.5, 0.2, pairs=pairs).to_doc()
+    assert doc["kind"] == "joinability_report"
+    assert doc["parameters"]["sigma"] == 0.2
+    assert "sigmas" not in doc["parameters"]
+    assert all("sigma" not in rec for rec in doc["pairs"])
+    probe = weakly_chained_probe(cloud, 0.9, 0.5, [0.2], pairs=pairs).to_doc()
+    assert probe["pairs"][0]["sigma"] == 0.2
+
+    def key(rec):
+        return rec["i"], rec["j"], rec["outcome"], rec["chain"], rec["candidates"]
+
+    assert [key(r) for r in doc["pairs"]] == [key(r) for r in probe["pairs"]]
+    assert [r["outcome"] for r in doc["pairs"]] == ["refuted", "passed", "refuted"]

@@ -198,3 +198,12 @@ def test_entourage_symmetry_and_monotonicity():
         j = int(rng.integers(len(cloud)))
         assert cloud.in_entourage(i, j, e1) == cloud.in_entourage(j, i, e1)
         assert set(cloud.neighbors(i, e1)) <= set(cloud.neighbors(i, e2))
+
+
+def test_spec_rejects_input_the_family_ignores():
+    with pytest.raises(ValueError, match="'circle'"):
+        SpaceSpec("circle", must_include=texas_pair(2))
+    with pytest.raises(ValueError, match="'circle'"):
+        SpaceSpec("circle", {"h": 0.1})
+    with pytest.raises(ValueError, match="'texas_circle'"):
+        SpaceSpec("texas_circle", {"n": 5})
