@@ -204,7 +204,7 @@ def find_chain(cloud: PointCloud, i: int, j: int, scale, banned=()) -> Chain | N
     for b in banned:
         if b != i and b != j:
             banned_mask |= 1 << int(b)
-    dist = _hops_from(bits, j, n, banned_mask)
+    dist = _hops_from(bits, j, n, banned_mask, stop=i)
     if dist[i] < 0:
         return None
     verts = [i]
@@ -223,8 +223,14 @@ def find_chain(cloud: PointCloud, i: int, j: int, scale, banned=()) -> Chain | N
     return Chain(cloud, verts, scale)
 
 
-def _hops_from(bits: list[int], src: int, n: int, banned_mask: int = 0) -> list[int]:
-    """BFS hop counts from src over the bitset graph; -1 where unreachable."""
+def _hops_from(bits: list[int], src: int, n: int, banned_mask: int = 0,
+               stop: int | None = None) -> list[int]:
+    """BFS hop counts from src over the bitset graph; -1 where unreachable.
+
+    With ``stop``, the search ends as soon as that vertex is labelled.  Every
+    vertex nearer to src than stop is labelled correctly by then; the others
+    may read -1.
+    """
     dist = [-1] * n
     dist[src] = 0
     queue = deque([src])
@@ -236,6 +242,8 @@ def _hops_from(bits: list[int], src: int, n: int, banned_mask: int = 0) -> list[
             m &= m - 1
             if dist[w] < 0:
                 dist[w] = dist[u] + 1
+                if w == stop:
+                    return dist
                 queue.append(w)
     return dist
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 negative mathematical result (a requested property
 does not hold), 2 usage or input error, 3 the verdict came back unknown
-where a decision was requested.  Reports embed every parameter needed to
+where a decision was requested, 4 internal error (a fault of the program,
+never a mathematical answer).  Reports embed every parameter needed to
 reproduce them and are byte-identical across runs with equal inputs.
 """
 
@@ -21,6 +22,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_UNKNOWN = 3
+EXIT_INTERNAL = 4
 
 
 def _budget(args) -> SearchBudget | None:
@@ -269,6 +271,10 @@ def run(argv) -> int:
     except (DocumentError, ValueError, IndexError, OSError) as exc:
         print(f"epschain {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"epschain {args.command}: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

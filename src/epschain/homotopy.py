@@ -235,10 +235,12 @@ def are_homotopic(c1: Chain, c2: Chain, budget: SearchBudget | None = None,
                   skeleton: RipsSkeleton | None = None) -> HomotopyVerdict:
     """Three-valued homotopy decision for two chains with equal endpoints.
 
-    The GF(2) certificate is checked before any search (cheap refutation);
-    then a greedy contraction handles the common case of one chain refining
-    the other; the general case is a bidirectional breadth-first search over
-    canonical states, bounded by the budget.
+    The cheapest sound path runs first: a greedy contraction handles the
+    common case of one chain refining the other, and needs no skeleton.  A
+    witness it finds replays, so the loop bounds and its GF(2) residue is
+    zero; trying it first changes no verdict.  Then the certificate refutes
+    what it can before any search.  The general case is a bidirectional
+    breadth-first search over canonical states, bounded by the budget.
     """
     if c1.cloud is not c2.cloud:
         raise ValueError("chains live on different clouds")
@@ -248,6 +250,8 @@ def are_homotopic(c1: Chain, c2: Chain, budget: SearchBudget | None = None,
         raise ValueError(f"endpoint mismatch: {c1.endpoints} vs {c2.endpoints}")
     if not (c1.is_valid() and c2.is_valid()):
         raise ValueError("both chains must be valid at their scale")
+    if skeleton is not None and (skeleton.cloud is not c1.cloud or skeleton.scale != c1.scale):
+        raise ValueError("the skeleton belongs to another cloud or scale")
     if budget is None:
         budget = default_budget(c1, c2)
 
@@ -267,13 +271,6 @@ def are_homotopic(c1: Chain, c2: Chain, budget: SearchBudget | None = None,
     if s1 == s2:
         return done([], 0)
 
-    skel = skeleton if skeleton is not None else rips.build(c1.cloud, c1.scale)
-    vec = skel.path_vector(c1) ^ skel.path_vector(c2)
-    residue = skel.reduce_cycle(vec)
-    if residue:
-        return HomotopyVerdict("not_homotopic", certificate=CycleClass(skel, residue),
-                               budget=budget, states_explored=0)
-
     bits = c1.cloud.entourage_bits(c1.scale)
     if _is_subsequence(s2, s1):
         mid = _greedy_contract(r1, _raw_of(s2), bits)
@@ -283,6 +280,13 @@ def are_homotopic(c1: Chain, c2: Chain, budget: SearchBudget | None = None,
         back = _greedy_contract(r2, _raw_of(s1), bits)
         if back is not None:
             return done(_invert_sequence(r2, back), 0)
+
+    skel = skeleton if skeleton is not None else rips.build(c1.cloud, c1.scale)
+    vec = skel.path_vector(c1) ^ skel.path_vector(c2)
+    residue = skel.reduce_cycle(vec)
+    if residue:
+        return HomotopyVerdict("not_homotopic", certificate=CycleClass(skel, residue),
+                               budget=budget, states_explored=0)
 
     mid, states = _bidir_search(s1, s2, c1.cloud, c1.scale, budget)
     if mid is None:

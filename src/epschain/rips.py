@@ -11,56 +11,61 @@ Columns of the triangle boundary matrix are Python integers used as bit
 vectors over the fixed (lexicographic) edge ordering; one column-echelon
 reduction per skeleton is cached, after which every class query is a short
 sequence of XORs.
+
+The reduction takes columns in (diameter, lexicographic) order and never
+builds one it can prove zero.  Let t = (i, j, k), i < j < k, have diameter
+D, and let l be a vertex strictly nearer than D to each of i, j and k, and
+below a bound set by t's longest edge: k if it is (i, j), j if it is
+(i, k), i if it is (j, k), the smallest of these when edges tie.  Then
+(i, j, k, l) is a tetrahedron whose other three faces come before t: a face
+without t's longest edge has diameter below D, and a face with it has
+diameter D and, since l is below the bound, sorts lexicographically before
+t.  The boundary of a tetrahedron's boundary is zero, so the column of t is
+the sum of those three earlier columns and reduces to zero.  A zero column
+adds no pivot, so skipping it leaves every pivot, hence every residue, as
+the full reduction has it.  Triangles are enumerated edge by edge when
+needed and never stored.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+
+import numpy as np
 
 from .chain import Chain, components
 from .space import PointCloud, as_scale
 
 
 class RipsSkeleton:
-    """Vertices, edges, and triangles of the Rips complex at one scale."""
+    """Vertices and edges of the Rips complex at one scale; triangles on demand."""
 
-    __slots__ = ("cloud", "scale", "edges", "edge_index", "triangles", "_pivots", "_1cache")
+    __slots__ = ("cloud", "scale", "edges", "edge_index", "_pivots", "_1cache")
 
     def __init__(self, cloud: PointCloud, scale):
         self.cloud = cloud
         self.scale = as_scale(scale)
         bits = cloud.entourage_bits(self.scale)
-        n = len(cloud)
-        edges: list[tuple[int, int]] = []
-        for i in range(n):
-            m = bits[i] >> (i + 1)
-            j = i + 1
-            while m:
-                step = (m & -m).bit_length() - 1
-                j += step
-                edges.append((i, j))
-                m >>= step + 1
-                j += 1
-        self.edges = edges
-        self.edge_index = {e: k for k, e in enumerate(edges)}
-        triangles: list[tuple[int, int, int]] = []
-        for (i, j) in edges:
-            common = (bits[i] & bits[j]) >> (j + 1)
-            k = j + 1
-            while common:
-                step = (common & -common).bit_length() - 1
-                k += step
-                triangles.append((i, j, k))
-                common >>= step + 1
-                k += 1
-        triangles.sort()
-        self.triangles = triangles
+        self.edges = [(i, j) for i in range(len(cloud)) for j in _set_bits(bits[i], i + 1)]
+        self.edge_index = {e: k for k, e in enumerate(self.edges)}
         self._pivots = None
         self._1cache = None
 
     def __repr__(self) -> str:
         return (f"RipsSkeleton(n={len(self.cloud)}, eps={self.scale.epsilon}, "
-                f"E={len(self.edges)}, T={len(self.triangles)})")
+                f"E={len(self.edges)})")
+
+    def _cofaces(self):
+        """Each edge (i, j), in edge order, with the ascending k > j closing a triangle."""
+        bits = self.cloud.entourage_bits(self.scale)
+        for (i, j) in self.edges:
+            yield i, j, _set_bits(bits[i] & bits[j], j + 1)
+
+    @property
+    def triangles(self) -> list[tuple[int, int, int]]:
+        """Every triangle (i, j, k), i < j < k, in lexicographic order (not stored)."""
+        return [(i, j, k) for i, j, ks in self._cofaces() for k in ks]
 
     def boundary2_columns(self):
         """Per-triangle edge-index triples: column t of the triangle boundary."""
@@ -72,15 +77,38 @@ class RipsSkeleton:
 
         Columns are processed in diameter order (then lexicographic), which
         keeps the reduction near-linear on geometric samples and makes the
-        pivot set, hence every reduced residue, deterministic.
+        pivot set, hence every reduced residue, deterministic.  Columns that
+        the apex test of the module docstring proves zero are never built.
         """
         if self._pivots is None:
-            d = self.cloud.distances()
+            up, radii, inside = _neighbourhoods(self.cloud.distances(), self.scale.epsilon)
+            below = [(1 << b) - 1 for b in range(len(self.cloud))]
+            cols = []
+            for i, j, ks in self._cofaces():
+                up_i, up_j = up[i], up[j]
+                dij = up_i[j]
+                rad_i, in_i, rad_j, in_j = radii[i], inside[i], radii[j], inside[j]
+                for k in ks:
+                    dik, djk = up_i[k], up_j[k]
+                    diam = dij if dij >= dik else dik
+                    if djk >= diam:
+                        diam, bound = djk, i
+                    else:
+                        bound = j if dik == diam else k
+                    # a vertex below the bound, strictly nearer than diam to
+                    # i, j and k, is the apex of a tetrahedron whose other
+                    # faces are all earlier columns
+                    apex = in_i[bisect_left(rad_i, diam)] & below[bound]
+                    if apex:
+                        apex &= in_j[bisect_left(rad_j, diam)]
+                        if apex:
+                            apex &= inside[k][bisect_left(radii[k], diam)]
+                    if not apex:
+                        cols.append((diam, i, j, k))
+            cols.sort()
             ei = self.edge_index
-            order = sorted(self.triangles,
-                           key=lambda t: (max(d[t[0], t[1]], d[t[0], t[2]], d[t[1], t[2]]), t))
             pivots: dict[int, int] = {}
-            for (i, j, k) in order:
+            for (_, i, j, k) in cols:
                 col = (1 << ei[(i, j)]) | (1 << ei[(i, k)]) | (1 << ei[(j, k)])
                 while col:
                     low = col.bit_length() - 1
@@ -162,6 +190,50 @@ class CycleClass:
     def __eq__(self, other) -> bool:
         return (isinstance(other, CycleClass) and self.skeleton is other.skeleton
                 and self.residue == other.residue)
+
+
+def _set_bits(m: int, start: int) -> list[int]:
+    """Ascending positions >= start of the set bits of m."""
+    out = []
+    m >>= start
+    k = start
+    while m:
+        step = (m & -m).bit_length() - 1
+        k += step
+        out.append(k)
+        m >>= step + 1
+        k += 1
+    return out
+
+
+def _neighbourhoods(d: np.ndarray, eps: float):
+    """Per-vertex views of the other vertices within eps, nearest first.
+
+    ``up[v]`` maps each such u > v to its distance, ``radii[v]`` lists the
+    distances of all of them ascending, and ``inside[v][r]`` is the bitset of
+    the first r of them.  So ``inside[v][bisect_left(radii[v], x)]`` is the
+    set of vertices strictly nearer than x to v, for any x <= eps.
+    """
+    close = d <= eps
+    np.fill_diagonal(close, False)
+    rows, cols = np.nonzero(close)
+    dist = d[rows, cols]
+    order = np.lexsort((dist, rows))
+    nbr, rad = cols[order].tolist(), dist[order].tolist()
+    up, radii, inside = [], [], []
+    start = 0
+    for v, end in enumerate(np.cumsum(np.count_nonzero(close, axis=1)).tolist()):
+        us, rs = nbr[start:end], rad[start:end]
+        up.append({u: r for u, r in zip(us, rs) if u > v})
+        radii.append(rs)
+        acc = 0
+        prefix = [0]
+        for u in us:
+            acc |= 1 << u
+            prefix.append(acc)
+        inside.append(prefix)
+        start = end
+    return up, radii, inside
 
 
 def build(cloud: PointCloud, scale) -> RipsSkeleton:

@@ -101,8 +101,16 @@ class PointCloud:
     def distances(self) -> np.ndarray:
         """Full pairwise distance matrix (cached)."""
         if self._dist is None:
-            p = self.points
-            d = np.sqrt(((p[:, None, :] - p[None, :, :]) ** 2).sum(-1))
+            # sqrt(dx*dx + dy*dy) in place: the same floats as summing the
+            # squared differences over an (n, n, 2) array, without that array
+            x, y = self.points.T
+            d = np.subtract.outer(x, x)
+            d *= d
+            dy = np.subtract.outer(y, y)
+            dy *= dy
+            d += dy
+            del dy
+            np.sqrt(d, out=d)
             np.fill_diagonal(d, 0.0)
             d.setflags(write=False)
             self._dist = d

@@ -204,6 +204,33 @@ def test_find_chain_minimal_and_lexicographic():
         checked += 1
 
 
+def test_find_chain_early_stop_keeps_the_walk():
+    # find_chain stops its search once i is labelled; the lexicographic walk
+    # over full hop counts must give the same chain
+    from epschain.chain import _hops_from
+
+    rng = np.random.default_rng(29)
+    cloud = texas_sample(h=0.1, m_end=4.0)
+    n = len(cloud)
+    for eps in (0.15, 0.3):
+        bits = cloud.entourage_bits(eps)
+        for _ in range(40):
+            i, j = (int(v) for v in rng.integers(n, size=2))
+            banned = [int(v) for v in rng.integers(n, size=3) if v != i and v != j]
+            mask = sum(1 << b for b in set(banned))
+            dist = _hops_from(bits, j, n, mask)
+            chain = find_chain(cloud, i, j, eps, banned=banned)
+            if dist[i] < 0:
+                assert chain is None
+                continue
+            walk = [i]
+            while walk[-1] != j:
+                cur = walk[-1]
+                walk.append(min(w for w in range(n) if w != cur and not (mask >> w) & 1
+                                and (bits[cur] >> w) & 1 and dist[w] == dist[cur] - 1))
+            assert chain.vertices == tuple(walk)
+
+
 def test_chain_valid_at_coarser_scale():
     rng = np.random.default_rng(29)
     for _ in range(200):

@@ -94,6 +94,25 @@ def test_homotopy_unknown_exit_code(tmp_path):
                 "--c2", str(b), "--budget-states", "2"]) == 3
 
 
+def test_internal_fault_exits_4(tmp_path, monkeypatch, capsys):
+    # a drifting witness is a fault of the program, not a mathematical answer
+    from epschain import homotopy
+
+    cloud = circle_cloud(6)
+    space = tmp_path / "hex.json"
+    save_cloud(cloud, space)
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    write_chain(a, Chain(cloud, [0, 1, 2], 2.0))
+    write_chain(b, Chain(cloud, [0, 2], 2.0))
+    monkeypatch.setattr(homotopy, "replay", lambda chain, moves: chain)
+    assert run(["homotopy", "--space", str(space), "--c1", str(a),
+                "--c2", str(b)]) == 4
+    err = capsys.readouterr().err
+    assert "internal error" in err and "drifted" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_short_command(tmp_path):
     cloud = circle_cloud(60)
     space = tmp_path / "circle.json"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from epschain import (Chain, Delete, HomotopyVerdict, PointCloud, SearchBudget,
-                      are_homotopic, circle_cloud, classify, collapse,
+                      are_homotopic, build, circle_cloud, classify, collapse,
                       interval_cloud, is_null, is_short, oracle_classes, replay)
 from util import random_cloud, random_scale, random_walk_chain
 
@@ -89,6 +89,9 @@ def test_precondition_errors():
         are_homotopic(a, Chain(cloud, [0, 5], 1.01))  # endpoint mismatch
     with pytest.raises(ValueError):
         are_homotopic(Chain(cloud, [0, 3], 1.01), Chain(cloud, [0, 3], 1.01))
+    with pytest.raises(ValueError):  # skeleton of another scale, greedy-decidable pair
+        are_homotopic(Chain(cloud, [0, 1, 2], 2.0), Chain(cloud, [0, 2], 2.0),
+                      skeleton=build(cloud, 1.01))
 
 
 def test_unknown_echoes_budget():

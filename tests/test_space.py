@@ -22,6 +22,20 @@ def test_distance_is_zero_on_diagonal():
         assert cloud.distance(i, i) == 0.0
 
 
+def test_distances_equal_the_broadcast_formula_bitwise():
+    # distances() works in place to save memory; every float must stay the
+    # one the (n, n, 2) broadcast gives, or thresholds at eps could flip
+    rng = np.random.default_rng(3)
+    clouds = [texas_sample(h=0.1), circle_cloud(97), PointCloud(points=np.zeros((0, 2)))]
+    clouds += [PointCloud(points=rng.normal(size=(60, 2)) * 10.0 ** rng.uniform(-6, 6, (60, 1)))
+               for _ in range(4)]
+    for cloud in clouds:
+        p = cloud.points
+        want = np.sqrt(((p[:, None, :] - p[None, :, :]) ** 2).sum(-1))
+        np.fill_diagonal(want, 0.0)
+        assert cloud.distances().tobytes() == want.tobytes()
+
+
 def test_distance_index_error():
     cloud = PointCloud(points=[(0.0, 0.0)])
     with pytest.raises(IndexError):
