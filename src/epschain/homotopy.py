@@ -96,14 +96,16 @@ def replay(chain: Chain, moves) -> Chain:
 
 
 # ---------------------------------------------------------------------------
-# Canonical states and raw-consistent expansion
+# Canonical states, their successors, and moves along a found path
 # ---------------------------------------------------------------------------
 #
 # A state is a collapsed vertex tuple.  Its raw form is the tuple itself,
 # except the single-vertex state (p,) whose raw form is the constant chain
-# [p, p] (states only shrink to one vertex when a loop trivializes).  Every
-# expansion edge carries the raw move sequence realizing it, so a found path
-# replays legally from end to end.
+# [p, p] (states only shrink to one vertex when a loop trivializes).  The
+# search walks states only: its edges carry no moves.  Once the frontiers
+# meet, ``_step_moves`` derives the raw moves of each step on the found path
+# from the first successor edge that reaches the step's child, so the path
+# replays legally from end to end and the search stores nothing else.
 
 def _realize(chain: Chain) -> Chain:
     if len(chain) == 1:
@@ -151,35 +153,53 @@ def _invert_sequence(start: tuple[int, ...], moves: list[Move]) -> list[Move]:
     return [_invert(m, p) for m, p in zip(reversed(moves), reversed(pres))]
 
 
-def _expand(state, bits, max_len):
-    """Deterministic (move_seq, next_state) edges out of a canonical state."""
+def _successors(state, bits, max_len):
+    """Canonical states one edge away: deletes by position, then inserts by (gap, vertex).
+
+    Deleting the middle of a backtrack ``u x u`` also deletes one ``u``, so
+    the state stays collapsed.
+    """
     work = _raw_of(state)
     n = len(work)
-    out = []
     for pos in range(1, n - 1):
         u, w = work[pos - 1], work[pos + 1]
-        if not (bits[u] >> w) & 1:
-            continue
-        raw = work[:pos] + work[pos + 1:]
-        if u == w:
-            if len(raw) == 2:
-                out.append(([Delete(pos)], (u,)))
-                continue
-            at = pos if pos <= len(raw) - 2 else pos - 1
-            out.append(([Delete(pos), Delete(at)], raw[:at] + raw[at + 1:]))
-        else:
-            out.append(([Delete(pos)], raw))
-    if n + 1 <= max_len:
+        if (bits[u] >> w) & 1:
+            yield work[:pos] + work[pos + 1 + (u == w):]
+    if n < max_len:
         for gap in range(1, n):
             u, w = work[gap - 1], work[gap]
-            common = bits[u] & bits[w]
-            while common:
-                v = (common & -common).bit_length() - 1
-                common &= common - 1
-                if v == u or v == w:
-                    continue
-                out.append(([Insert(gap, v)], work[:gap] + (v,) + work[gap:]))
-    return out
+            common = bits[u] & bits[w] & ~((1 << u) | (1 << w))
+            if common:
+                head, tail = work[:gap], work[gap:]
+                while common:
+                    low = common & -common
+                    common ^= low
+                    yield head + (low.bit_length() - 1,) + tail
+
+
+def _step_moves(state, child, bits, max_len) -> list[Move]:
+    """Raw moves of the first edge, in successor order, from ``state`` to ``child``.
+
+    Inserts and single deletes reach distinct children.  Only backtrack
+    deletes collide (three positions of ``a b a b a`` give ``a b a``); the
+    first position wins, being first in successor order.  A step no edge
+    makes is an internal fault and raises ``RuntimeError``.
+    """
+    work = _raw_of(state)
+    n = len(work)
+    for pos in range(1, n - 1):
+        u, w = work[pos - 1], work[pos + 1]
+        if (bits[u] >> w) & 1 and work[:pos] + work[pos + 1 + (u == w):] == child:
+            if u != w or n == 3:
+                return [Delete(pos)]
+            return [Delete(pos), Delete(pos if pos <= n - 3 else pos - 1)]
+    if len(child) == n + 1 and n < max_len:
+        for gap in range(1, n):
+            u, v, w = work[gap - 1], child[gap], work[gap]
+            if (v != u and v != w and (bits[u] & bits[w]) >> v & 1
+                    and child[:gap] == work[:gap] and child[gap + 1:] == work[gap:]):
+                return [Insert(gap, v)]
+    raise RuntimeError(f"no search edge leads from {state} to {child}")
 
 
 def _greedy_contract(source: tuple[int, ...], target: tuple[int, ...], bits):
@@ -288,16 +308,19 @@ def are_homotopic(c1: Chain, c2: Chain, budget: SearchBudget | None = None,
         return HomotopyVerdict("not_homotopic", certificate=CycleClass(skel, residue),
                                budget=budget, states_explored=0)
 
-    mid, states = _bidir_search(s1, s2, c1.cloud, c1.scale, budget)
+    mid, states = _bidir_search(s1, s2, bits, budget)
     if mid is None:
         return HomotopyVerdict("unknown", budget=budget, states_explored=states)
     return done(mid, states)
 
 
-def _bidir_search(s1, s2, cloud: PointCloud, scale, budget: SearchBudget):
-    """Bidirectional BFS between canonical states; returns (moves, states)."""
-    bits = cloud.entourage_bits(scale)
-    L = budget.max_chain_length
+def _bidir_search(s1, s2, bits, budget: SearchBudget):
+    """Bidirectional BFS between canonical states; returns (moves, states).
+
+    Each side maps a state to the state it was reached from.  The moves are
+    derived only along the path through the meeting state.
+    """
+    L, cap = budget.max_chain_length, budget.max_states
     fw: dict = {s1: None}
     bw: dict = {s2: None}
     fq, bq = deque([s1]), deque([s2])
@@ -307,12 +330,12 @@ def _bidir_search(s1, s2, cloud: PointCloud, scale, budget: SearchBudget):
         forward = len(fq) <= len(bq) if (fq and bq) else bool(fq)
         side, queue, other = (fw, fq, bw) if forward else (bw, bq, fw)
         u = queue.popleft()
-        for seq, t in _expand(u, bits, L):
+        for t in _successors(u, bits, L):
             if t in side:
                 continue
-            if states >= budget.max_states:
+            if states >= cap:
                 return None, states
-            side[t] = (u, seq)
+            side[t] = u
             states += 1
             queue.append(t)
             if t in other:
@@ -320,19 +343,18 @@ def _bidir_search(s1, s2, cloud: PointCloud, scale, budget: SearchBudget):
                 break
     if meet is None:
         return None, states
-    fmoves: list[Move] = []
-    cur = meet
-    while fw[cur] is not None:
-        parent, seq = fw[cur]
-        fmoves[:0] = seq
-        cur = parent
-    bmoves: list[Move] = []
-    cur = meet
-    while bw[cur] is not None:
-        parent, seq = bw[cur]
-        bmoves[:0] = seq
-        cur = parent
+    fmoves = _moves_to(fw, meet, bits, L)
+    bmoves = _moves_to(bw, meet, bits, L)
     return fmoves + _invert_sequence(_raw_of(s2), bmoves), states
+
+
+def _moves_to(parents: dict, end, bits, max_len) -> list[Move]:
+    """Raw moves along the search path from the root of ``parents`` to ``end``."""
+    moves: list[Move] = []
+    while parents[end] is not None:
+        moves[:0] = _step_moves(parents[end], end, bits, max_len)
+        end = parents[end]
+    return moves
 
 
 def is_null(loop: Chain, budget: SearchBudget | None = None,

@@ -3,7 +3,11 @@
 A :class:`PointCloud` is either a list of planar coordinates or an explicit
 distance matrix.  All closeness tests use the *closed* inequality
 ``dist(x, y) <= epsilon``; there is no tolerance fudging in the semantics
-(tolerances belong in test assertions, not here).
+(tolerances belong in test assertions, not here).  The one slack is in
+validating an explicit distance matrix: a matrix that went through decimal
+text or floating arithmetic may break the triangle inequality by rounding,
+so a violation is forgiven when it is at most a ``1e-9`` fraction of the
+two-leg sum.  Being relative, the slack means the same at every scale.
 
 Clouds are immutable after construction.  The distance matrix and per-scale
 adjacency structures are computed lazily and cached, so repeated queries at
@@ -157,6 +161,9 @@ def _row_bits(row: np.ndarray) -> int:
     return int.from_bytes(packed.tobytes(), "little")
 
 
+_TRIANGLE_SLACK = 1e-9  # relative to the two-leg sum; see the module docstring
+
+
 def _check_distance_matrix(mat: np.ndarray) -> None:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("distance matrix must be square")
@@ -168,10 +175,11 @@ def _check_distance_matrix(mat: np.ndarray) -> None:
         raise ValueError("distance matrix must have a zero diagonal")
     if not np.array_equal(mat, mat.T):
         raise ValueError("distance matrix must be symmetric")
-    n = len(mat)
-    for k in range(n):
-        # allow a hair of slack for matrices that went through decimal text
-        if np.any(mat > mat[:, k, None] + mat[None, k, :] + 1e-9):
+    scaled = mat * (1 + _TRIANGLE_SLACK)
+    legs = np.empty_like(mat)
+    for k in range(len(mat)):
+        np.add(scaled[:, k, None], scaled[None, k, :], out=legs)
+        if np.any(mat > legs):
             raise ValueError(f"triangle inequality violated via point {k}")
 
 

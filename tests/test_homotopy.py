@@ -1,11 +1,16 @@
-import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from epschain import (Chain, Delete, HomotopyVerdict, PointCloud, SearchBudget,
-                      are_homotopic, build, circle_cloud, classify, collapse,
-                      interval_cloud, is_null, is_short, oracle_classes, replay)
+                      apply_move, are_homotopic, build, circle_cloud, classify, collapse,
+                      components, find_chain, interval_cloud, is_null, is_short,
+                      legal_moves, oracle_classes, replay)
 from util import random_cloud, random_scale, random_walk_chain
 
 
@@ -244,3 +249,96 @@ def test_classify_contradiction_raises_runtime_error(monkeypatch):
     monkeypatch.setattr(homotopy, "are_homotopic", contradicting)
     with pytest.raises(RuntimeError, match="contradicts"):
         classify(chains)
+
+
+def test_guards_hold_under_python_O():
+    # -O strips assert statements; the two guards above must not depend on them
+    root = Path(__file__).resolve().parent.parent
+    guards = "test_drifting_witness_raises_runtime_error or test_classify_contradiction"
+    run = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          str(Path(__file__).resolve()), "-k", guards],
+                         cwd=root, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "2 passed" in run.stdout, run.stdout
+
+
+# ---------------------------------------------------------------------------
+# The engine against the brute-force oracle
+# ---------------------------------------------------------------------------
+
+# four or more points of the 3x3 lattice: at eps = 1 every unit square is a hole
+lattice_clouds = st.integers(0, 2 ** 9 - 1).filter(lambda m: m.bit_count() >= 4).map(
+    lambda m: PointCloud(points=[divmod(k, 3) for k in range(9) if (m >> k) & 1]))
+
+# a unit square (a hole at eps = 1) with some more points of the 3x4 lattice
+holed_clouds = st.integers(0, 2 ** 12 - 1).map(lambda m: PointCloud(points=sorted(
+    {(0, 0), (0, 1), (1, 0), (1, 1)} | {divmod(k, 4) for k in range(12) if (m >> k) & 1})))
+
+
+def lattice_scale(cloud, k):
+    """The k-th smallest nonzero distance of the cloud, or its largest."""
+    vals = np.unique(cloud.distances())
+    return float(vals[min(k, len(vals) - 1)])
+
+
+def oracle_case(data, cloud, k):
+    """A scale, an endpoint pair, a length bound and the oracle's classes."""
+    eps = lattice_scale(cloud, k)
+    blocks = [b for b in components(cloud, eps) if len(b) >= 2]
+    assume(blocks)
+    i, j = data.draw(st.permutations(data.draw(st.sampled_from(blocks))))[:2]
+    max_len = min(len(find_chain(cloud, i, j, eps)) + 2, 6)
+    try:
+        classes = oracle_classes(cloud, i, j, eps, max_len, guard=20_000)
+    except RuntimeError:
+        assume(False)
+    return eps, classes, SearchBudget(max_chain_length=max_len, max_states=5000)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.one_of(lattice_clouds, holed_clouds), st.integers(1, 3), st.data())
+def test_oracle_joined_pairs_are_never_refuted(cloud, k, data):
+    eps, classes, budget = oracle_case(data, cloud, k)
+    joined = [cls for cls in classes if len(cls) >= 2]
+    assume(joined)
+    cls = data.draw(st.sampled_from(joined))
+    a, b = data.draw(st.permutations(cls))[:2]
+    c1, c2 = Chain(cloud, a, eps), Chain(cloud, b, eps)
+    v = are_homotopic(c1, c2, budget)
+    assert not v.is_not_homotopic
+    if v.is_homotopic:
+        assert replay(c1, v.witness).vertices == c2.vertices
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(holed_clouds, st.integers(1, 2), st.data())
+def test_refuted_pairs_lie_in_different_oracle_classes(cloud, k, data):
+    eps, classes, budget = oracle_case(data, cloud, k)
+    assume(len(classes) >= 2)
+    k1, k2 = (data.draw(st.integers(0, len(classes) - 1)) for _ in range(2))
+
+    def pick(cls):
+        return Chain(cloud, data.draw(st.sampled_from(cls)), eps)
+
+    v = are_homotopic(pick(classes[k1]), pick(classes[k2]), budget)
+    if v.is_not_homotopic:
+        assert k1 != k2
+        # the GF(2) class is a homotopy invariant: the whole oracle classes are refuted
+        for _ in range(3):
+            assert are_homotopic(pick(classes[k1]), pick(classes[k2]), budget).is_not_homotopic
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.one_of(lattice_clouds, holed_clouds), st.integers(1, 3), st.data())
+def test_one_legal_move_keeps_the_homotopy_class(cloud, k, data):
+    eps = lattice_scale(cloud, k)
+    walk = [data.draw(st.integers(0, len(cloud) - 1))]
+    for _ in range(data.draw(st.integers(1, 6))):
+        nbrs = cloud.neighbors(walk[-1], eps)
+        assume(nbrs)
+        walk.append(data.draw(st.sampled_from(nbrs)))
+    c1 = Chain(cloud, walk, eps)
+    c2 = apply_move(c1, data.draw(st.sampled_from(legal_moves(c1))))
+    v = are_homotopic(c1, c2)
+    assert v.is_homotopic
+    assert replay(c1, v.witness).vertices == c2.vertices

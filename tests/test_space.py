@@ -190,6 +190,19 @@ def test_matrix_triangle_inequality_checked():
         PointCloud(matrix=[[0, 1, 3], [1, 0, 1], [3, 1, 0]])
 
 
+def test_triangle_slack_is_relative_to_the_legs():
+    # d(0, 2) = 3 > 1 + 1 breaks the inequality at every scale
+    for scale in (1e-12, 1e-6, 1.0, 1e9):
+        with pytest.raises(ValueError, match="triangle inequality"):
+            PointCloud(matrix=scale * np.array([[0, 1, 3], [1, 0, 1], [3, 1, 0]]))
+    # a rounding-sized excess is forgiven at every scale
+    for scale in (1e-12, 1.0, 1e9):
+        over = np.nextafter(2 * scale, np.inf)
+        PointCloud(matrix=[[0, scale, over], [scale, 0, scale], [over, scale, 0]])
+        eps = 2 * scale * (1 + 1e-12)
+        PointCloud(matrix=[[0, scale, eps], [scale, 0, scale], [eps, scale, 0]])
+
+
 def test_empty_cloud_roundtrip():
     cloud = PointCloud(points=[], name="empty")
     assert len(cloud) == 0
