@@ -20,6 +20,8 @@ contracted to a point end at that realization.
 from __future__ import annotations
 
 import itertools
+import struct
+import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -106,6 +108,17 @@ def replay(chain: Chain, moves) -> Chain:
 # meet, ``_step_moves`` derives the raw moves of each step on the found path
 # from the first successor edge that reaches the step's child, so the path
 # replays legally from end to end and the search stores nothing else.
+#
+# Inside one search a state is keyed by its code: the bytes of its vertices
+# as fixed-width unsigned integers in native order, two bytes each up to
+# 65,536 points and four above.  A ``bytes`` object caches its hash, so a
+# new state is hashed once for the seen test, the store and the meeting
+# test.  Successors are byte slices of the raw form's code.  The search
+# also keeps a table from each gap (a, b) to the codes of the common
+# neighbours of a and b other than a and b, in ascending order, built from
+# ``bits[a] & bits[b]`` when the gap first occurs: a gap recurs in many
+# states of one search.  Only the states on the meeting path are decoded
+# back to tuples.
 
 def _realize(chain: Chain) -> Chain:
     if len(chain) == 1:
@@ -153,28 +166,41 @@ def _invert_sequence(start: tuple[int, ...], moves: list[Move]) -> list[Move]:
     return [_invert(m, p) for m, p in zip(reversed(moves), reversed(pres))]
 
 
-def _successors(state, bits, max_len):
-    """Canonical states one edge away: deletes by position, then inserts by (gap, vertex).
+def _successors(key: bytes, code: str, gaps: dict, bits, max_len) -> list[bytes]:
+    """Codes of the canonical states one edge away from the state coded ``key``.
 
-    Deleting the middle of a backtrack ``u x u`` also deletes one ``u``, so
-    the state stays collapsed.
+    Deletes come by position, then inserts by (gap, vertex).  Deleting the
+    middle of a backtrack ``u x u`` also deletes one ``u``, so the state
+    stays collapsed.  ``gaps`` is the search's insert table.
     """
-    work = _raw_of(state)
+    work = memoryview(key).cast(code).tolist()
+    if len(work) == 1:
+        work *= 2
+        key *= 2
     n = len(work)
-    for pos in range(1, n - 1):
-        u, w = work[pos - 1], work[pos + 1]
-        if (bits[u] >> w) & 1:
-            yield work[:pos] + work[pos + 1 + (u == w):]
+    w = len(key) // n
+    out = [key[:pos * w] + key[(pos + 1 + (work[pos - 1] == work[pos + 1])) * w:]
+           for pos in range(1, n - 1) if (bits[work[pos - 1]] >> work[pos + 1]) & 1]
     if n < max_len:
         for gap in range(1, n):
-            u, w = work[gap - 1], work[gap]
-            common = bits[u] & bits[w] & ~((1 << u) | (1 << w))
-            if common:
-                head, tail = work[:gap], work[gap:]
-                while common:
-                    low = common & -common
-                    common ^= low
-                    yield head + (low.bit_length() - 1,) + tail
+            ends = work[gap - 1], work[gap]
+            codes = gaps.get(ends)
+            if codes is None:
+                codes = gaps[ends] = _common_codes(bits, *ends, w)
+            if codes:
+                head, tail = key[:gap * w], key[gap * w:]
+                out += [head + c + tail for c in codes]
+    return out
+
+
+def _common_codes(bits, a: int, b: int, w: int) -> tuple[bytes, ...]:
+    common = bits[a] & bits[b] & ~((1 << a) | (1 << b))
+    codes = []
+    while common:
+        low = common & -common
+        common ^= low
+        codes.append((low.bit_length() - 1).to_bytes(w, sys.byteorder))
+    return tuple(codes)
 
 
 def _step_moves(state, child, bits, max_len) -> list[Move]:
@@ -317,20 +343,24 @@ def are_homotopic(c1: Chain, c2: Chain, budget: SearchBudget | None = None,
 def _bidir_search(s1, s2, bits, budget: SearchBudget):
     """Bidirectional BFS between canonical states; returns (moves, states).
 
-    Each side maps a state to the state it was reached from.  The moves are
-    derived only along the path through the meeting state.
+    Each side maps a state's code to the code of the state it was reached
+    from.  The moves are derived only along the path through the meeting
+    state.
     """
     L, cap = budget.max_chain_length, budget.max_states
-    fw: dict = {s1: None}
-    bw: dict = {s2: None}
-    fq, bq = deque([s1]), deque([s2])
+    code = "H" if len(bits) <= 1 << 16 else "I"
+    gaps: dict = {}
+    k1, k2 = (struct.pack(f"{len(s)}{code}", *s) for s in (s1, s2))
+    fw: dict = {k1: None}
+    bw: dict = {k2: None}
+    fq, bq = deque([k1]), deque([k2])
     states = 2
-    meet = s1 if s1 in bw else None
+    meet = k1 if k1 in bw else None
     while meet is None and (fq or bq):
         forward = len(fq) <= len(bq) if (fq and bq) else bool(fq)
         side, queue, other = (fw, fq, bw) if forward else (bw, bq, fw)
         u = queue.popleft()
-        for t in _successors(u, bits, L):
+        for t in _successors(u, code, gaps, bits, L):
             if t in side:
                 continue
             if states >= cap:
@@ -343,9 +373,19 @@ def _bidir_search(s1, s2, bits, budget: SearchBudget):
                 break
     if meet is None:
         return None, states
-    fmoves = _moves_to(fw, meet, bits, L)
-    bmoves = _moves_to(bw, meet, bits, L)
+    end = tuple(memoryview(meet).cast(code))
+    fmoves = _moves_to(_decoded_path(fw, meet, code), end, bits, L)
+    bmoves = _moves_to(_decoded_path(bw, meet, code), end, bits, L)
     return fmoves + _invert_sequence(_raw_of(s2), bmoves), states
+
+
+def _decoded_path(parents: dict, end: bytes, code: str) -> dict:
+    """The parents from ``end`` back to the root, decoded to tuples."""
+    keys = [end]
+    while parents[keys[-1]] is not None:
+        keys.append(parents[keys[-1]])
+    states = [tuple(memoryview(k).cast(code)) for k in keys]
+    return dict(zip(states, states[1:] + [None]))
 
 
 def _moves_to(parents: dict, end, bits, max_len) -> list[Move]:

@@ -162,6 +162,7 @@ def _row_bits(row: np.ndarray) -> int:
 
 
 _TRIANGLE_SLACK = 1e-9  # relative to the two-leg sum; see the module docstring
+_TILE = 16  # rows and intermediate points per step of the triangle check
 
 
 def _check_distance_matrix(mat: np.ndarray) -> None:
@@ -175,12 +176,22 @@ def _check_distance_matrix(mat: np.ndarray) -> None:
         raise ValueError("distance matrix must have a zero diagonal")
     if not np.array_equal(mat, mat.T):
         raise ValueError("distance matrix must be symmetric")
+    # d(i, j) <= min over k of the two legs, checked in tiles of rows and
+    # intermediate points that stay in cache.  The matrix and the sum of the
+    # legs are symmetric in i and j, so a row block from r checks only the
+    # columns j >= r.  A tile that fails is rescanned point by point, to name
+    # the first k through which any pair breaks the inequality.
+    n = len(mat)
     scaled = mat * (1 + _TRIANGLE_SLACK)
-    legs = np.empty_like(mat)
-    for k in range(len(mat)):
-        np.add(scaled[:, k, None], scaled[None, k, :], out=legs)
-        if np.any(mat > legs):
-            raise ValueError(f"triangle inequality violated via point {k}")
+    for k0 in range(0, n, _TILE):
+        ks = slice(k0, k0 + _TILE)
+        for r0 in range(0, n, _TILE):
+            rows = slice(r0, r0 + _TILE)
+            legs = scaled[rows, ks, None] + scaled[None, ks, r0:]
+            if np.any(mat[rows, r0:] > legs.min(axis=1)):
+                k = next(k for k in range(k0, min(k0 + _TILE, n))
+                         if np.any(mat > scaled[:, k, None] + scaled[None, k, :]))
+                raise ValueError(f"triangle inequality violated via point {k}")
 
 
 # ---------------------------------------------------------------------------

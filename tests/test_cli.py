@@ -94,6 +94,20 @@ def test_homotopy_unknown_exit_code(tmp_path):
                 "--c2", str(b), "--budget-states", "2"]) == 3
 
 
+@pytest.mark.parametrize("flag", ["--budget-len", "--budget-states"])
+def test_zero_budget_is_a_usage_error(tmp_path, capsys, flag):
+    cloud = circle_cloud(6)
+    space = tmp_path / "hex.json"
+    save_cloud(cloud, space)
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    write_chain(a, Chain(cloud, [0, 1, 2, 3], 2.0))
+    write_chain(b, Chain(cloud, [0, 5, 4, 3], 2.0))
+    assert run(["homotopy", "--space", str(space), "--c1", str(a),
+                "--c2", str(b), flag, "0"]) == 2
+    assert "budget fields must be >= 1" in capsys.readouterr().err
+
+
 def test_internal_fault_exits_4(tmp_path, monkeypatch, capsys):
     # a drifting witness is a fault of the program, not a mathematical answer
     from epschain import homotopy

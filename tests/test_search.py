@@ -203,3 +203,54 @@ def test_random_walks_on_small_lattices(points, q, seed):
     c2 = moved(rng, c1, 3)
     budget = SearchBudget(max_chain_length=len(c1) + 4, max_states=3000)
     assert_same_search(cloud, eps, c1.vertices, c2.vertices, budget)
+
+
+def test_vertex_codes_past_one_byte():
+    cloud = circle_cloud(300)
+    eps = 2 * np.sin(np.pi * 2.5 / 300)  # neighbours two steps away
+    budget = SearchBudget(12, 50_000)
+    evens, odds = (250, 252, 254, 256, 258, 260), (250, 251, 253, 255, 257, 259, 260)
+    for a, b in ((evens, odds), (odds, evens)):
+        moves, _ = assert_same_search(cloud, eps, a, b, budget)
+        assert moves is not None
+    for cap in (2, 3, 20):
+        moves, states = assert_same_search(cloud, eps, evens, odds, SearchBudget(12, cap))
+        assert moves is None and states == cap
+    loop = (270, 271, 273, 272, 270)
+    moves, _ = assert_same_search(cloud, eps, loop, (270,), budget)
+    assert moves is not None
+    moves, _ = assert_same_search(cloud, eps, (270,), loop, budget)
+    assert moves is not None
+
+
+def test_vertex_codes_past_two_bytes():
+    # a small lattice relabelled to ids >= 2 ** 16; only the search needs bits
+    cloud = PointCloud(points=[(x, y) for x in range(3) for y in range(3)])
+    offset = 1 << 16
+    bits = [0] * offset + [b << offset for b in cloud.entourage_bits(1.5)]
+    budget = SearchBudget(10, 5000)
+    for c1, c2 in (((0, 4, 8), (0, 1, 2, 5, 8)), ((0, 4, 8, 4, 0), (0,)), ((0,), (0, 1, 4, 0))):
+        s1 = collapse(tuple(v + offset for v in c1))
+        s2 = collapse(tuple(v + offset for v in c2))
+        got = _bidir_search(s1, s2, bits, budget)
+        assert got == reference_search(s1, s2, bits, budget)
+        assert got[0] is not None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=3, max_size=10,
+                unique=True),
+       st.floats(0.2, 1.0), st.integers(0, 2 ** 32 - 1))
+def test_random_walks_on_small_lattices_past_one_byte(points, q, seed):
+    # the lattice property with its points after 256 isolated padding points
+    vals = np.unique(PointCloud(points=points).distances())
+    eps = float(vals[int(q * (len(vals) - 1))])
+    pad = [(100.0 + 10.0 * k, 100.0) for k in range(256)]
+    cloud = PointCloud(points=pad + list(points))
+    rng = np.random.default_rng(seed)
+    bits = cloud.entourage_bits(eps)
+    start = 256 + int(rng.integers(len(points)))
+    c1 = Chain(cloud, random_walk(rng, bits, start, 6), eps)
+    c2 = moved(rng, c1, 3)
+    budget = SearchBudget(max_chain_length=len(c1) + 4, max_states=3000)
+    assert_same_search(cloud, eps, c1.vertices, c2.vertices, budget)

@@ -203,6 +203,23 @@ def test_triangle_slack_is_relative_to_the_legs():
         PointCloud(matrix=[[0, scale, eps], [scale, 0, scale], [eps, scale, 0]])
 
 
+@pytest.mark.parametrize("n", [40, 50])
+def test_triangle_check_reaches_the_last_row_block_and_tile_edges(n):
+    # all distances 2, except d(a, b) = 3 with legs of 1 via the points in
+    # ks: the only violations, at the edges of 16-point tiles
+    for a, b in ((n - 2, n - 1), (n - 1, 0)):
+        for ks in ((15,), (16,), (31,), (32,), (n - 3,), (32, 16)):
+            mat = np.full((n, n), 2.0)
+            np.fill_diagonal(mat, 0.0)
+            mat[a, b] = mat[b, a] = 3.0
+            for k in ks:
+                mat[a, k] = mat[k, a] = mat[k, b] = mat[b, k] = 1.0
+            with pytest.raises(ValueError, match=f"via point {min(ks)}$"):
+                PointCloud(matrix=mat)
+            mat[a, b] = mat[b, a] = 2.0
+            PointCloud(matrix=mat)
+
+
 def test_empty_cloud_roundtrip():
     cloud = PointCloud(points=[], name="empty")
     assert len(cloud) == 0
