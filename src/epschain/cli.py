@@ -26,11 +26,10 @@ EXIT_INTERNAL = 4
 
 
 def _budget(args) -> SearchBudget | None:
+    """The flags given; an unset one takes its default per query."""
     if args.budget_len is None and args.budget_states is None:
         return None
-    return SearchBudget(
-        max_chain_length=10 ** 4 if args.budget_len is None else args.budget_len,
-        max_states=10 ** 6 if args.budget_states is None else args.budget_states)
+    return SearchBudget(max_chain_length=args.budget_len, max_states=args.budget_states)
 
 
 def _emit(doc: dict, out: str | None) -> None:

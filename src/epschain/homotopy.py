@@ -33,23 +33,33 @@ from .space import PointCloud
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Caps for a homotopy search: raw chain length and stored states."""
+    """Caps for a homotopy search: raw chain length and stored states.
 
-    max_chain_length: int
-    max_states: int
+    A field left as None takes its default per query (:func:`default_budget`).
+    """
+
+    max_chain_length: int | None = None
+    max_states: int | None = None
 
     def __post_init__(self):
-        if self.max_chain_length < 1 or self.max_states < 1:
-            raise ValueError("budget fields must be >= 1")
+        for cap in (self.max_chain_length, self.max_states):
+            if cap is not None and cap < 1:
+                raise ValueError("budget fields must be >= 1")
 
     def to_record(self) -> dict:
-        return {"max_chain_length": self.max_chain_length,
-                "max_states": self.max_states}
+        """The fields that are set; a budget resolved for a query sets both."""
+        rec = {"max_chain_length": self.max_chain_length, "max_states": self.max_states}
+        return {k: v for k, v in rec.items() if v is not None}
 
 
-def default_budget(c1: Chain, c2: Chain) -> SearchBudget:
-    return SearchBudget(max_chain_length=4 * max(len(c1), len(c2), 2),
-                        max_states=10 ** 6)
+def default_budget(c1: Chain, c2: Chain, budget: SearchBudget | None = None) -> SearchBudget:
+    """The budget of a query on c1 and c2: each cap the given budget leaves
+    unset is 4 * max(len(c1), len(c2), 2) chain vertices or 10**6 states."""
+    length, states = (budget.max_chain_length, budget.max_states) if budget else (None, None)
+    if length is not None and states is not None:
+        return budget
+    return SearchBudget(4 * max(len(c1), len(c2), 2) if length is None else length,
+                        10 ** 6 if states is None else states)
 
 
 @dataclass(frozen=True)
@@ -298,8 +308,7 @@ def are_homotopic(c1: Chain, c2: Chain, budget: SearchBudget | None = None,
         raise ValueError("both chains must be valid at their scale")
     if skeleton is not None and (skeleton.cloud is not c1.cloud or skeleton.scale != c1.scale):
         raise ValueError("the skeleton belongs to another cloud or scale")
-    if budget is None:
-        budget = default_budget(c1, c2)
+    budget = default_budget(c1, c2, budget)
 
     c1r, c2r = _realize(c1), _realize(c2)
     prefix, r1 = _collapse_deletes(c1r.vertices)

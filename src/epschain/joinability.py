@@ -542,6 +542,9 @@ def texas_obstruction_report(n: int = 2, mprime: int = 5, h: float = 0.02,
     dichotomy_cloud = texas_sample(h=h, m_end=m_end, n=n)
     dichotomy = texas_dichotomy(dichotomy_cloud, n, mprime)
     control = texas_dichotomy(dichotomy_cloud, n, mprime, delete_segment=False)
+    # nothing below reads these samples; their distance matrices would
+    # otherwise stay alive through the refinement
+    del default_cloud, dichotomy_cloud
 
     # the curve's slope bound is |sin 2x - 1/x^2| <= 1 + 1/pi^2, so this step
     # keeps consecutive samples within sigma of each other

@@ -10,26 +10,33 @@ engine treats it as inconclusive.
 Columns of the triangle boundary matrix are Python integers used as bit
 vectors over the fixed (lexicographic) edge ordering; one column-echelon
 reduction per skeleton is cached, after which every class query is a short
-sequence of XORs.
+sequence of XORs.  A pivot column is stored from its lowest set bit: the
+entry for pivot ``low`` is ``col >> off``, where ``off``, the column's
+lowest edge index, is ``low - stored.bit_length() + 1`` and is not kept.
+So a column takes as many bits as the span of its edge indices, which is
+short on geometric samples, rather than as many as its highest index.
 
 The reduction takes columns in (diameter, lexicographic) order and never
-builds one it can prove zero.  Let t = (i, j, k), i < j < k, have diameter
-D, and let l be a vertex strictly nearer than D to each of i, j and k, and
-below a bound set by t's longest edge: k if it is (i, j), j if it is
-(i, k), i if it is (j, k), the smallest of these when edges tie.  Then
-(i, j, k, l) is a tetrahedron whose other three faces come before t: a face
-without t's longest edge has diameter below D, and a face with it has
-diameter D and, since l is below the bound, sorts lexicographically before
-t.  The boundary of a tetrahedron's boundary is zero, so the column of t is
-the sum of those three earlier columns and reduces to zero.  A zero column
-adds no pivot, so skipping it leaves every pivot, hence every residue, as
-the full reduction has it.  Triangles are enumerated edge by edge when
-needed and never stored.
+builds one it can prove zero.  Each triangle t is owned by its longest
+edge, and among tied longest edges by the one whose opposite vertex is
+smallest; call that edge's length D and its opposite vertex c.  So every
+vertex of t opposite an edge of length D is at least c.  Let l < c be a
+vertex strictly nearer than D to each vertex of t.  Each other face of the
+tetrahedron t + l is t with one vertex v replaced by l.  Its edges are the
+edge of t opposite v and two edges at l, shorter than D, so its diameter is
+below D unless the edge opposite v has length D.  Then v >= c > l, and the
+face, being t with a vertex lowered, sorts lexicographically before t.
+Either way the face's column comes first.  The boundary of a tetrahedron's
+boundary is zero, so the column of t is the sum of those three earlier
+columns and reduces to zero.  A zero column adds no pivot, so skipping it
+leaves every pivot, hence every residue, as the full reduction has it.
+Triangles are enumerated from their owning edges when reduced and never
+stored.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,16 +63,11 @@ class RipsSkeleton:
         return (f"RipsSkeleton(n={len(self.cloud)}, eps={self.scale.epsilon}, "
                 f"E={len(self.edges)})")
 
-    def _cofaces(self):
-        """Each edge (i, j), in edge order, with the ascending k > j closing a triangle."""
-        bits = self.cloud.entourage_bits(self.scale)
-        for (i, j) in self.edges:
-            yield i, j, _set_bits(bits[i] & bits[j], j + 1)
-
     @property
     def triangles(self) -> list[tuple[int, int, int]]:
         """Every triangle (i, j, k), i < j < k, in lexicographic order (not stored)."""
-        return [(i, j, k) for i, j, ks in self._cofaces() for k in ks]
+        bits = self.cloud.entourage_bits(self.scale)
+        return [(i, j, k) for i, j in self.edges for k in _set_bits(bits[i] & bits[j], j + 1)]
 
     def boundary2_columns(self):
         """Per-triangle edge-index triples: column t of the triangle boundary."""
@@ -75,6 +77,7 @@ class RipsSkeleton:
     def _triangle_pivots(self) -> dict[int, int]:
         """Column-echelon pivots of the triangle boundary, keyed by low bit.
 
+        Each column is stored from its lowest set bit (module docstring).
         Columns are processed in diameter order (then lexicographic), which
         keeps the reduction near-linear on geometric samples and makes the
         pivot set, hence every reduced residue, deterministic.  Columns that
@@ -84,39 +87,51 @@ class RipsSkeleton:
             up, radii, inside = _neighbourhoods(self.cloud.distances(), self.scale.epsilon)
             below = [(1 << b) - 1 for b in range(len(self.cloud))]
             cols = []
-            for i, j, ks in self._cofaces():
-                up_i, up_j = up[i], up[j]
-                dij = up_i[j]
-                rad_i, in_i, rad_j, in_j = radii[i], inside[i], radii[j], inside[j]
-                for k in ks:
-                    dik, djk = up_i[k], up_j[k]
-                    diam = dij if dij >= dik else dik
-                    if djk >= diam:
-                        diam, bound = djk, i
-                    else:
-                        bound = j if dik == diam else k
-                    # a vertex below the bound, strictly nearer than diam to
-                    # i, j and k, is the apex of a tetrahedron whose other
-                    # faces are all earlier columns
-                    apex = in_i[bisect_left(rad_i, diam)] & below[bound]
-                    if apex:
-                        apex &= in_j[bisect_left(rad_j, diam)]
-                        if apex:
-                            apex &= inside[k][bisect_left(radii[k], diam)]
-                    if not apex:
-                        cols.append((diam, i, j, k))
+            for a, b in self.edges:
+                diam = up[a][b]
+                rad_a, in_a, rad_b, in_b = radii[a], inside[a], radii[b], inside[b]
+                na, nb = bisect_left(rad_a, diam), bisect_left(rad_b, diam)
+                lt_a, lt_b = in_a[na], in_b[nb]
+                eq_a = in_a[bisect_right(rad_a, diam, na)] ^ lt_a
+                eq_b = in_b[bisect_right(rad_b, diam, nb)] ^ lt_b
+                # third vertices c of the triangles that (a, b) owns: within
+                # diam of a and b, and below b if (a, c) ties with (a, b), and
+                # below a if (b, c) does, since those edges are opposite b and a
+                strict = lt_a & lt_b
+                owned = strict | (eq_a & lt_b & below[b]) | (eq_b & (lt_a | eq_a) & below[a])
+                for c in _set_bits(owned, 0):
+                    # an apex below c, strictly nearer than diam to a, b and c,
+                    # makes the other faces of the tetrahedron earlier columns
+                    apex = strict & below[c]
+                    if not (apex and apex & inside[c][bisect_left(radii[c], diam)]):
+                        cols.append((diam, *sorted((a, b, c))))
             cols.sort()
             ei = self.edge_index
             pivots: dict[int, int] = {}
             for (_, i, j, k) in cols:
-                col = (1 << ei[(i, j)]) | (1 << ei[(i, k)]) | (1 << ei[(j, k)])
-                while col:
-                    low = col.bit_length() - 1
+                # edges (i, j) < (i, k) < (j, k): the column's lowest bit is (i, j)
+                off = ei[(i, j)]
+                col = 1 | 1 << (ei[(i, k)] - off) | 1 << (ei[(j, k)] - off)
+                while True:
+                    low = off + col.bit_length() - 1
                     p = pivots.get(low)
                     if p is None:
                         pivots[low] = col
                         break
-                    col ^= p
+                    shift = low - p.bit_length() + 1 - off  # p's offset past col's
+                    if shift > 0:
+                        col ^= p << shift
+                    elif shift < 0:
+                        col = col << -shift ^ p
+                        off += shift
+                    else:
+                        # only equal offsets clear the lowest bit
+                        col ^= p
+                        if not col:
+                            break
+                        zeros = (col & -col).bit_length() - 1
+                        col >>= zeros
+                        off += zeros
             self._pivots = pivots
         return self._pivots
 
@@ -125,10 +140,11 @@ class RipsSkeleton:
         pivots = self._triangle_pivots()
         v = vector
         while v:
-            p = pivots.get(v.bit_length() - 1)
+            low = v.bit_length() - 1
+            p = pivots.get(low)
             if p is None:
                 break
-            v ^= p
+            v ^= p << (low - p.bit_length() + 1)
         return v
 
     def path_vector(self, chain: Chain) -> int:
@@ -212,7 +228,8 @@ def _neighbourhoods(d: np.ndarray, eps: float):
     ``up[v]`` maps each such u > v to its distance, ``radii[v]`` lists the
     distances of all of them ascending, and ``inside[v][r]`` is the bitset of
     the first r of them.  So ``inside[v][bisect_left(radii[v], x)]`` is the
-    set of vertices strictly nearer than x to v, for any x <= eps.
+    set of vertices strictly nearer than x to v, for any x <= eps, and with
+    ``bisect_right`` it is the set within x.
     """
     close = d <= eps
     np.fill_diagonal(close, False)

@@ -105,16 +105,25 @@ class PointCloud:
     def distances(self) -> np.ndarray:
         """Full pairwise distance matrix (cached)."""
         if self._dist is None:
-            # sqrt(dx*dx + dy*dy) in place: the same floats as summing the
-            # squared differences over an (n, n, 2) array, without that array
+            # sqrt(dx*dx + dy*dy), written into the output one block of
+            # _DIST_ROWS rows at a time.  Each entry takes the same three
+            # operations as summing the squared differences over an (n, n, 2)
+            # array, so every float is the same, and the only temporary is
+            # one block of dy instead of an (n, n) matrix.
             x, y = self.points.T
-            d = np.subtract.outer(x, x)
-            d *= d
-            dy = np.subtract.outer(y, y)
-            dy *= dy
-            d += dy
-            del dy
-            np.sqrt(d, out=d)
+            n = len(x)
+            d = np.empty((n, n))
+            dy = np.empty((min(n, _DIST_ROWS), n))
+            for r0 in range(0, n, _DIST_ROWS):
+                rows = slice(r0, r0 + _DIST_ROWS)
+                block = d[rows]
+                dy_block = dy[:len(block)]
+                np.subtract.outer(x[rows], x, out=block)
+                block *= block
+                np.subtract.outer(y[rows], y, out=dy_block)
+                dy_block *= dy_block
+                block += dy_block
+                np.sqrt(block, out=block)
             np.fill_diagonal(d, 0.0)
             d.setflags(write=False)
             self._dist = d
@@ -153,6 +162,9 @@ class PointCloud:
             bits = [_row_bits(row) for row in close]
             self._bits_cache[eps] = bits
         return bits
+
+
+_DIST_ROWS = 64  # rows of the distance matrix computed per step
 
 
 def _row_bits(row: np.ndarray) -> int:

@@ -94,6 +94,25 @@ def test_homotopy_unknown_exit_code(tmp_path):
                 "--c2", str(b), "--budget-states", "2"]) == 3
 
 
+@pytest.mark.parametrize("flags", [[], ["--budget-states", "1000000"], ["--budget-len", "28"],
+                                   ["--budget-len", "28", "--budget-states", "1000000"]])
+def test_an_unset_budget_flag_takes_the_per_query_default(tmp_path, flags):
+    # the default chain-length cap is 4 * max(len(c1), len(c2), 2) = 28 here,
+    # whichever other flag is given
+    cloud = circle_cloud(12)
+    space = tmp_path / "c12.json"
+    save_cloud(cloud, space)
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    write_chain(a, Chain(cloud, [0, 2, 4, 6, 8, 10, 0], 1.8))
+    write_chain(b, Chain(cloud, [0, 0], 1.8))
+    report = tmp_path / "verdict.json"
+    run(["homotopy", "--space", str(space), "--c1", str(a), "--c2", str(b),
+         *flags, "--out", str(report)])
+    budget = json.loads(report.read_text())["verdict"]["budget"]
+    assert budget == {"max_chain_length": 28, "max_states": 1000000}
+
+
 @pytest.mark.parametrize("flag", ["--budget-len", "--budget-states"])
 def test_zero_budget_is_a_usage_error(tmp_path, capsys, flag):
     cloud = circle_cloud(6)

@@ -6,6 +6,8 @@ The skeleton skips the columns its apex test proves zero, so the two must
 agree on every pivot, hence on every residue.
 """
 
+import sys
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,7 +39,9 @@ def reference_pivots(cloud, eps) -> dict[int, int]:
 
 
 def assert_same_pivots(cloud, eps):
-    got = build(cloud, eps)._triangle_pivots()
+    # the skeleton stores each column from its lowest set bit
+    got = {low: p << (low - p.bit_length() + 1)
+           for low, p in build(cloud, eps)._triangle_pivots().items()}
     want = reference_pivots(cloud, eps)
     assert list(got.items()) == list(want.items())
 
@@ -83,6 +87,20 @@ def test_integer_distance_matrices_tie_everywhere():
                     dtype=float)
     for eps in (1, 2, 3, 4):
         assert_same_pivots(PointCloud(matrix=hops), eps)
+
+
+def test_all_distances_tie():
+    # every edge of every triangle is a longest edge
+    for n in (5, 6, 7, 8):
+        assert_same_pivots(PointCloud(matrix=np.ones((n, n)) - np.eye(n)), 1)
+
+
+def test_pivot_columns_are_stored_from_their_lowest_bit():
+    # a full-width column takes about (highest edge index) / 8 bytes, over
+    # 1000 here on average; one stored from its lowest bit spans a few edges
+    pivots = build(circle_cloud(1000), 0.1)._triangle_pivots()
+    assert len(pivots) == 14000
+    assert sum(map(sys.getsizeof, pivots.values())) <= 64 * len(pivots)
 
 
 def test_small_texas_sample():

@@ -7,6 +7,7 @@ from epschain import (PointCloud, Scale, SpaceSpec, circle_cloud, crest_height,
                       generate, interval_cloud, load_cloud, parallel_lines_cloud,
                       save_cloud, texas_pair, texas_sample)
 from epschain.documents import DocumentError
+from epschain.space import _DIST_ROWS
 from util import random_cloud, random_scale
 
 
@@ -23,12 +24,16 @@ def test_distance_is_zero_on_diagonal():
 
 
 def test_distances_equal_the_broadcast_formula_bitwise():
-    # distances() works in place to save memory; every float must stay the
-    # one the (n, n, 2) broadcast gives, or thresholds at eps could flip
+    # distances() works in row blocks to save memory; every float must stay
+    # the one the (n, n, 2) broadcast gives, or thresholds at eps could flip
     rng = np.random.default_rng(3)
     clouds = [texas_sample(h=0.1), circle_cloud(97), PointCloud(points=np.zeros((0, 2)))]
     clouds += [PointCloud(points=rng.normal(size=(60, 2)) * 10.0 ** rng.uniform(-6, 6, (60, 1)))
                for _ in range(4)]
+    # sizes on both sides of a row block's edge
+    b = _DIST_ROWS
+    clouds += [PointCloud(points=rng.uniform(-5, 5, size=(n, 2)))
+               for n in (0, 1, b - 1, b, b + 1, 2 * b + 3)]
     for cloud in clouds:
         p = cloud.points
         want = np.sqrt(((p[:, None, :] - p[None, :, :]) ** 2).sum(-1))
