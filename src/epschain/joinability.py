@@ -26,8 +26,8 @@ from . import rips
 from .chain import Chain, Move, _hops_from, chain_to_doc, find_chain
 from .documents import SCHEMA_VERSION
 from .homotopy import HomotopyVerdict, SearchBudget, is_short, replay
-from .space import (PointCloud, Scale, _row_bits, as_scale, texas_circle_cloud,
-                    texas_pair, texas_sample)
+from .space import (PointCloud, Scale, as_scale, texas_circle_cloud, texas_pair,
+                    texas_sample)
 
 # candidate fine chains tried per hop or pair: the shortest, then
 # vertex-disjoint alternatives
@@ -107,7 +107,6 @@ def _refine_with_witness(c: Chain, short_scale: Scale, fine_scale: Scale,
                          budget: SearchBudget | None):
     """Refine every hop; returns (fine chain, witness back to c at short_scale)."""
     cloud = c.cloud
-    skel = rips.build(cloud, short_scale)
     pieces: list[Chain] = []
     piece_witnesses: list[tuple[Move, ...]] = []
     v = c.vertices
@@ -115,7 +114,7 @@ def _refine_with_witness(c: Chain, short_scale: Scale, fine_scale: Scale,
         outcomes = []
         chosen = None
         for cand in _hop_candidates(cloud, u, w, fine_scale):
-            verdict = is_short(cand.with_scale(short_scale), budget, skeleton=skel)
+            verdict = is_short(cand.with_scale(short_scale), budget)
             outcomes.append((cand.vertices, verdict))
             if verdict.is_homotopic:
                 chosen = (cand, verdict.witness)
@@ -327,12 +326,12 @@ class JoinabilityReport:
         }
 
 
-def _short_chain_for_pair(cloud, i, j, sigma: Scale, eps: Scale, budget, skel,
+def _short_chain_for_pair(cloud, i, j, sigma: Scale, eps: Scale, budget,
                           record_sigma: float | None) -> PairOutcome:
     dist = cloud.distance(i, j)
     tried = []
     for cand in _hop_candidates(cloud, i, j, sigma):
-        verdict = is_short(cand.with_scale(eps), budget, skeleton=skel)
+        verdict = is_short(cand.with_scale(eps), budget)
         tried.append((cand.vertices, verdict.outcome))
         if verdict.is_homotopic:
             return PairOutcome(i, j, dist, "passed", cand.vertices, tuple(tried),
@@ -403,8 +402,7 @@ def _probe(cloud, eps, delta, sigmas, pairs, budget, seed, pair_threshold,
     if pairs is None:
         pairs, policy = _delta_pairs(cloud, delta.epsilon, seed, pair_threshold,
                                      sample_cap)
-    skel = rips.build(cloud, eps)
-    records = tuple(_short_chain_for_pair(cloud, i, j, s, eps, budget, skel,
+    records = tuple(_short_chain_for_pair(cloud, i, j, s, eps, budget,
                                           None if single else s.epsilon)
                     for i, j in pairs for s in sig)
     params = {"eps": eps.epsilon, "delta": delta.epsilon, "seed": seed,
@@ -467,8 +465,10 @@ def crest_gap_check(cloud: PointCloud, eps=0.5,
     ai = np.nonzero(in_win & (labels == "axis"))[0]
     if len(gi) == 0 or len(ai) == 0:
         return True
-    d = cloud.distances()
-    return not bool((d[np.ix_(gi, ai)] <= eps).any())
+    # the window's own cloud gives the same distance floats as the whole one
+    window_cloud = PointCloud(points=pts[np.concatenate((gi, ai))])
+    cross = window_cloud.distances()[:len(gi), len(gi):]
+    return not bool((cross <= eps).any())
 
 
 def texas_dichotomy(cloud: PointCloud, n: int, mprime: int, sigma=None,
@@ -495,8 +495,14 @@ def texas_dichotomy(cloud: PointCloud, n: int, mprime: int, sigma=None,
     if delete_segment:
         keep &= labels != "segment"
     keep[xi] = keep[yi] = True
-    hops = _hops_from(cloud.entourage_bits(sigma), xi, len(cloud), ~_row_bits(keep))
-    return hops[yi] < 0
+    # the kept points' own cloud has their coordinates, hence the same
+    # distance floats, so its sigma-graph is the subgraph that the whole
+    # cloud's induces on them, and the deleted points' rows are never built
+    idx = np.flatnonzero(keep)
+    kept = PointCloud(points=cloud.points[idx])
+    sx, sy = np.searchsorted(idx, (xi, yi)).tolist()
+    hops = _hops_from(kept.entourage_bits(sigma), sx, len(kept), stop=sy)
+    return hops[sy] < 0
 
 
 def texas_crest_loop(cloud: PointCloud, scale=0.5, n: int = 2) -> Chain:
@@ -542,9 +548,6 @@ def texas_obstruction_report(n: int = 2, mprime: int = 5, h: float = 0.02,
     dichotomy_cloud = texas_sample(h=h, m_end=m_end, n=n)
     dichotomy = texas_dichotomy(dichotomy_cloud, n, mprime)
     control = texas_dichotomy(dichotomy_cloud, n, mprime, delete_segment=False)
-    # nothing below reads these samples; their distance matrices would
-    # otherwise stay alive through the refinement
-    del default_cloud, dichotomy_cloud
 
     # the curve's slope bound is |sin 2x - 1/x^2| <= 1 + 1/pi^2, so this step
     # keeps consecutive samples within sigma of each other

@@ -31,7 +31,10 @@ boundary is zero, so the column of t is the sum of those three earlier
 columns and reduces to zero.  A zero column adds no pivot, so skipping it
 leaves every pivot, hence every residue, as the full reduction has it.
 Triangles are enumerated from their owning edges when reduced and never
-stored.
+stored.  For an owning edge of length D, the lowest vertex strictly nearer
+than D to both of its ends is such an apex for every owned c above it and
+strictly nearer than D to it, so those c are dropped as one set before the
+rest are tested one by one: the prefilter is the apex rule applied to a set.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ class RipsSkeleton:
         """
         if self._pivots is None:
             up, radii, inside = _neighbourhoods(self.cloud.distances(), self.scale.epsilon)
-            below = [(1 << b) - 1 for b in range(len(self.cloud))]
+            below = [(1 << b) - 1 for b in range(len(self.cloud) + 1)]
             cols = []
             for a, b in self.edges:
                 diam = up[a][b]
@@ -99,6 +102,11 @@ class RipsSkeleton:
                 # below a if (b, c) does, since those edges are opposite b and a
                 strict = lt_a & lt_b
                 owned = strict | (eq_a & lt_b & below[b]) | (eq_b & (lt_a | eq_a) & below[a])
+                if strict:
+                    # the lowest strict vertex is an apex for every owned c
+                    # above it and strictly nearer than diam to it
+                    low = (strict & -strict).bit_length() - 1
+                    owned &= ~(inside[low][bisect_left(radii[low], diam)] & ~below[low + 1])
                 for c in _set_bits(owned, 0):
                     # an apex below c, strictly nearer than diam to a, b and c,
                     # makes the other faces of the tetrahedron earlier columns

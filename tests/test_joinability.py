@@ -11,7 +11,9 @@ from epschain import (Chain, PointCloud, RefinementFailure, ScaleFiltration,
                       texas_crest_loop, texas_dichotomy,
                       texas_obstruction_report, texas_pair, texas_sample,
                       weakly_chained_probe)
+from epschain.chain import _hops_from
 from epschain.joinability import _locate_exact
+from epschain.space import _row_bits
 
 
 def lshape_cloud():
@@ -221,6 +223,52 @@ def test_dichotomy_small_sample():
     assert not texas_dichotomy(cloud, 2, 2)  # direct hop survives both deletions
 
 
+def reference_dichotomy(cloud, n, mprime, delete_segment):
+    """The dichotomy as a BFS over the whole cloud's sigma-graph, the deleted
+    points banned by a mask."""
+    sigma = 1.0 / (mprime * math.pi)
+    xi = _locate_exact(cloud, texas_pair(n)[0])
+    yi = _locate_exact(cloud, texas_pair(n)[1])
+    keep = cloud.points[:, 0] < (mprime - 1) * math.pi
+    if delete_segment:
+        keep &= np.asarray(cloud.labels) != "segment"
+    keep[xi] = keep[yi] = True
+    hops = _hops_from(cloud.entourage_bits(sigma), xi, len(cloud), ~_row_bits(keep))
+    return hops[yi] < 0
+
+
+def test_dichotomy_matches_the_full_graph_bfs():
+    seen = set()
+    for n in (2, 3):
+        cloud = texas_sample(h=0.05, m_end=7, n=n)
+        for mprime in (2, 4, 5):
+            for delete_segment in (True, False):
+                want = reference_dichotomy(cloud, n, mprime, delete_segment)
+                assert texas_dichotomy(cloud, n, mprime,
+                                       delete_segment=delete_segment) == want
+                seen.add(want)
+    assert seen == {True, False}
+
+
+def test_crest_gap_matches_the_full_matrix_block():
+    cloud = texas_sample(h=0.05, m_end=3)
+    labels = np.asarray(cloud.labels)
+    x = cloud.points[:, 0]
+    seen = set()
+    for lo, hi in ((1.2 * math.pi, 1.8 * math.pi), (1.8 * math.pi, 2.2 * math.pi)):
+        in_win = (x >= lo) & (x <= hi)
+        gi = np.flatnonzero(in_win & (labels == "graph"))
+        ai = np.flatnonzero(in_win & (labels == "axis"))
+        block = cloud.distances()[np.ix_(gi, ai)]
+        # the nearest cross pair decides at its own distance and just below it
+        nearest = float(block.min())
+        for eps in (0.0, 0.5, 1.25, nearest, float(np.nextafter(nearest, 0))):
+            want = not bool((block <= eps).any())
+            assert crest_gap_check(cloud, eps, window=(lo, hi)) == want
+            seen.add(want)
+    assert seen == {True, False}
+
+
 def test_dichotomy_coverage_precondition():
     cloud = texas_sample(h=0.05, m_end=6)
     with pytest.raises(ValueError):
@@ -310,3 +358,14 @@ def test_scan_is_the_single_sigma_probe():
 
     assert [key(r) for r in doc["pairs"]] == [key(r) for r in probe["pairs"]]
     assert [r["outcome"] for r in doc["pairs"]] == ["refuted", "passed", "refuted"]
+
+
+def test_greedy_decided_runs_build_no_skeleton():
+    # greedy contraction decides every shortness verdict of these runs, so
+    # none of them needs the Rips skeleton or its reduction
+    circle = circle_cloud(360)
+    assert build_generalized_path(circle, 0, 180, (0.5, 0.25, 0.1)).accepted
+    assert circle._rips_cache == {}
+    lines = parallel_lines_cloud(length=5)
+    assert local_joinability_scan(lines, 0.5, 0.2, 0.05).passed
+    assert lines._rips_cache == {}
