@@ -108,12 +108,11 @@ def collapse(vertices: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def legal_moves(chain: Chain, candidates=None) -> list[Move]:
+def legal_moves(chain: Chain) -> list[Move]:
     """All elementary moves that keep the chain valid, in deterministic order.
 
-    Deletes come first (by position), then inserts by (position, vertex).
-    ``candidates`` optionally restricts which points may be inserted; the
-    default is the whole cloud.  The list is exhaustive over that set.
+    Deletes come first (by position), then inserts by (position, vertex),
+    where any point of the cloud may be inserted.  The list is exhaustive.
     """
     bits = chain.cloud.entourage_bits(chain.scale)
     v = chain.vertices
@@ -122,14 +121,8 @@ def legal_moves(chain: Chain, candidates=None) -> list[Move]:
     for pos in range(1, n - 1):
         if (bits[v[pos - 1]] >> v[pos + 1]) & 1:
             moves.append(Delete(pos))
-    if candidates is None:
-        cand_mask = (1 << len(chain.cloud)) - 1
-    else:
-        cand_mask = 0
-        for c in candidates:
-            cand_mask |= 1 << int(c)
     for pos in range(1, n):
-        common = bits[v[pos - 1]] & bits[v[pos]] & cand_mask
+        common = bits[v[pos - 1]] & bits[v[pos]]
         while common:
             p = (common & -common).bit_length() - 1
             moves.append(Insert(pos, p))

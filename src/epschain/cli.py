@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from . import joinability, rips, space, svgfig
 from .chain import chain_from_doc, chain_to_doc, components, find_chain
@@ -106,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--eps", type=float, required=True)
     sc.add_argument("--delta", type=float, required=True)
     sc.add_argument("--sigma", type=float, required=True)
-    sc.add_argument("--seed", type=int, default=0)
+    sc.add_argument("--seed", type=int, help="seed of the pair sample (default: the scan's own)")
     _add_budget_flags(sc)
     sc.add_argument("--out", default=None)
 
@@ -133,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--space", required=True)
     pl.add_argument("--chain", action="append", default=[],
                     help="chain document to overlay (repeatable)")
-    pl.add_argument("--width", type=int, default=900)
+    pl.add_argument("--width", type=int, help="figure width in pixels (default: the figure's own)")
     pl.add_argument("--out", required=True)
     return ap
 
@@ -144,8 +145,6 @@ def _given(args, names) -> dict:
 
 
 def _cmd_generate(args) -> int:
-    if args.family == "explicit":
-        raise DocumentError("explicit clouds come from documents, not generate")
     params = _given(args, ("n", "h", "h_segment", "m_end", "gap", "step", "length"))
     must = list(args.must_include)
     if args.include_pair_at is not None:
@@ -216,7 +215,7 @@ def _cmd_scan(args) -> int:
     cloud = load_cloud(args.space)
     report = joinability.local_joinability_scan(
         cloud, args.eps, args.delta, args.sigma, budget=_budget(args),
-        seed=args.seed)
+        **_given(args, ("seed",)))
     _emit(report.to_doc(), args.out)
     if report.passed:
         return EXIT_OK
@@ -243,7 +242,8 @@ def _cmd_texas(args) -> int:
 def _cmd_plot(args) -> int:
     cloud = load_cloud(args.space)
     chains = [chain_from_doc(read_doc(p, "chain"), cloud) for p in args.chain]
-    svgfig.write_figure(cloud, args.out, chains=chains, width=args.width)
+    figure = svgfig.cloud_figure(cloud, chains, **_given(args, ("width",)))
+    Path(args.out).write_text(figure, encoding="utf-8")
     return EXIT_OK
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from . import rips
 from .chain import Chain, Delete, Insert, Move, apply_move, collapse, _hops_from
-from .rips import CycleClass, RipsSkeleton
+from .rips import CycleClass
 from .space import PointCloud
 
 
@@ -129,13 +129,6 @@ def replay(chain: Chain, moves) -> Chain:
 # ``bits[a] & bits[b]`` when the gap first occurs: a gap recurs in many
 # states of one search.  Only the states on the meeting path are decoded
 # back to tuples.
-
-def _realize(chain: Chain) -> Chain:
-    if len(chain) == 1:
-        v = chain.vertices[0]
-        return Chain(chain.cloud, (v, v), chain.scale)
-    return chain
-
 
 def _raw_of(state: tuple[int, ...]) -> tuple[int, ...]:
     return state if len(state) >= 2 else (state[0], state[0])
@@ -239,7 +232,11 @@ def _step_moves(state, child, bits, max_len) -> list[Move]:
 
 
 def _greedy_contract(source: tuple[int, ...], target: tuple[int, ...], bits):
-    """Try to reach ``target`` (a subsequence of ``source``) by deletes only."""
+    """Try to reach ``target`` by deletes only.
+
+    None when ``target`` has no embedding in ``source`` with both endpoints
+    pinned (so it is not a subsequence), or when the deletes stall.
+    """
     cur = list(source)
     moves: list[Delete] = []
     while tuple(cur) != target:
@@ -278,17 +275,11 @@ def _pinned_embedding(cur: list[int], target: tuple[int, ...]):
     return emb
 
 
-def _is_subsequence(needle: tuple[int, ...], hay: tuple[int, ...]) -> bool:
-    it = iter(hay)
-    return all(any(x == y for y in it) for x in needle)
-
-
 # ---------------------------------------------------------------------------
 # The decision engine
 # ---------------------------------------------------------------------------
 
-def are_homotopic(c1: Chain, c2: Chain, budget: SearchBudget | None = None,
-                  skeleton: RipsSkeleton | None = None) -> HomotopyVerdict:
+def are_homotopic(c1: Chain, c2: Chain, budget: SearchBudget | None = None) -> HomotopyVerdict:
     """Three-valued homotopy decision for two chains with equal endpoints.
 
     The cheapest sound path runs first: a greedy contraction handles the
@@ -306,19 +297,17 @@ def are_homotopic(c1: Chain, c2: Chain, budget: SearchBudget | None = None,
         raise ValueError(f"endpoint mismatch: {c1.endpoints} vs {c2.endpoints}")
     if not (c1.is_valid() and c2.is_valid()):
         raise ValueError("both chains must be valid at their scale")
-    if skeleton is not None and (skeleton.cloud is not c1.cloud or skeleton.scale != c1.scale):
-        raise ValueError("the skeleton belongs to another cloud or scale")
     budget = default_budget(c1, c2, budget)
 
-    c1r, c2r = _realize(c1), _realize(c2)
-    prefix, r1 = _collapse_deletes(c1r.vertices)
-    delback, r2 = _collapse_deletes(c2r.vertices)
-    suffix = _invert_sequence(c2r.vertices, delback)
-    s1, s2 = collapse(r1), collapse(r2)
+    v1, v2 = _raw_of(c1.vertices), _raw_of(c2.vertices)
+    prefix, r1 = _collapse_deletes(v1)
+    delback, r2 = _collapse_deletes(v2)
+    suffix = _invert_sequence(v2, delback)
+    s1, s2 = collapse(r1), collapse(r2)  # r1, r2 are the raw forms of s1, s2
 
     def done(middle, states):
         witness = tuple(prefix) + tuple(middle) + tuple(suffix)
-        if replay(c1r, witness).vertices != c2r.vertices:
+        if replay(Chain(c1.cloud, v1, c1.scale), witness).vertices != v2:
             raise RuntimeError("witness replay drifted")
         return HomotopyVerdict("homotopic", witness=witness, budget=budget,
                                states_explored=states)
@@ -327,16 +316,14 @@ def are_homotopic(c1: Chain, c2: Chain, budget: SearchBudget | None = None,
         return done([], 0)
 
     bits = c1.cloud.entourage_bits(c1.scale)
-    if _is_subsequence(s2, s1):
-        mid = _greedy_contract(r1, _raw_of(s2), bits)
-        if mid is not None:
-            return done(mid, 0)
-    if _is_subsequence(s1, s2):
-        back = _greedy_contract(r2, _raw_of(s1), bits)
-        if back is not None:
-            return done(_invert_sequence(r2, back), 0)
+    mid = _greedy_contract(r1, r2, bits)
+    if mid is not None:
+        return done(mid, 0)
+    back = _greedy_contract(r2, r1, bits)
+    if back is not None:
+        return done(_invert_sequence(r2, back), 0)
 
-    skel = skeleton if skeleton is not None else rips.build(c1.cloud, c1.scale)
+    skel = rips.build(c1.cloud, c1.scale)
     vec = skel.path_vector(c1) ^ skel.path_vector(c2)
     residue = skel.reduce_cycle(vec)
     if residue:
@@ -406,17 +393,15 @@ def _moves_to(parents: dict, end, bits, max_len) -> list[Move]:
     return moves
 
 
-def is_null(loop: Chain, budget: SearchBudget | None = None,
-            skeleton: RipsSkeleton | None = None) -> HomotopyVerdict:
+def is_null(loop: Chain, budget: SearchBudget | None = None) -> HomotopyVerdict:
     """Is a closed chain contractible to its basepoint (relative endpoints)?"""
     if not loop.is_closed():
         raise ValueError("is_null needs a closed chain")
     p = loop.vertices[0]
-    return are_homotopic(loop, Chain(loop.cloud, (p, p), loop.scale), budget, skeleton)
+    return are_homotopic(loop, Chain(loop.cloud, (p, p), loop.scale), budget)
 
 
-def is_short(c: Chain, budget: SearchBudget | None = None,
-             skeleton: RipsSkeleton | None = None) -> HomotopyVerdict:
+def is_short(c: Chain, budget: SearchBudget | None = None) -> HomotopyVerdict:
     """Is the chain homotopic to the two-point chain of its endpoints?
 
     The endpoints must themselves be within the chain's entourage, otherwise
@@ -426,7 +411,7 @@ def is_short(c: Chain, budget: SearchBudget | None = None,
     if c.cloud.distance(x, y) > c.scale.epsilon:
         raise ValueError(f"endpoints {x}, {y} are farther apart than eps="
                          f"{c.scale.epsilon}; the chain [x, y] does not exist")
-    return are_homotopic(c, Chain(c.cloud, (x, y), c.scale), budget, skeleton)
+    return are_homotopic(c, Chain(c.cloud, (x, y), c.scale), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +430,7 @@ class Classification:
         return not self.unknown_pairs
 
 
-def classify(chains, budget: SearchBudget | None = None,
-             skeleton: RipsSkeleton | None = None) -> Classification:
+def classify(chains, budget: SearchBudget | None = None) -> Classification:
     """Group chains by pairwise verdicts; blocks join only on ``homotopic``."""
     chains = list(chains)
     if not chains:
@@ -466,7 +450,7 @@ def classify(chains, budget: SearchBudget | None = None,
     verdicts = {}
     unknown = []
     for a, b in itertools.combinations(range(len(chains)), 2):
-        v = are_homotopic(chains[a], chains[b], budget, skeleton)
+        v = are_homotopic(chains[a], chains[b], budget)
         verdicts[(a, b)] = v
         if v.is_homotopic:
             parent[find(a)] = find(b)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,6 +32,10 @@ from .space import (PointCloud, Scale, as_scale, texas_circle_cloud, texas_pair,
 # candidate fine chains tried per hop or pair: the shortest, then
 # vertex-disjoint alternatives
 MAX_ALTERNATIVES = 3
+# a scan of a cloud above PAIR_THRESHOLD points with more than SAMPLE_CAP
+# delta-close pairs checks a seeded sample of SAMPLE_CAP of them
+PAIR_THRESHOLD = 2000
+SAMPLE_CAP = 500
 
 
 @dataclass(frozen=True)
@@ -82,65 +86,51 @@ class RefinementFailure(Exception):
             f"hop {hop_index} {endpoints}: {reason} (candidate verdicts: {tried})")
 
 
-def _hop_candidates(cloud: PointCloud, u: int, w: int, fine: Scale):
-    """Shortest fine chain for a hop, then vertex-disjoint alternatives."""
+def _short_candidates(cloud: PointCloud, u: int, w: int, fine: Scale, coarse: Scale,
+                      budget: SearchBudget | None) -> list[tuple[Chain, HomotopyVerdict]]:
+    """Fine chains from u to w, each with its shortness verdict at the coarse scale.
+
+    The shortest chain comes first, then vertex-disjoint alternatives, at most
+    MAX_ALTERNATIVES in all; the list ends at the first chain that is short.
+    """
+    tried = []
     banned: set[int] = set()
     for _ in range(MAX_ALTERNATIVES):
         cand = find_chain(cloud, u, w, fine, banned=banned)
         if cand is None:
-            return
-        yield cand
-        interior = set(cand.vertices[1:-1])
-        if not interior:
-            return  # the direct hop has no interior; nothing distinct remains
-        banned |= interior
-
-
-def _shift_moves(moves, offset: int) -> list[Move]:
-    from .chain import Delete, Insert
-
-    return [Insert(m.position + offset, m.vertex) if isinstance(m, Insert)
-            else Delete(m.position + offset) for m in moves]
+            break
+        verdict = is_short(cand.with_scale(coarse), budget)
+        tried.append((cand, verdict))
+        interior = cand.vertices[1:-1]
+        if verdict.is_homotopic or not interior:
+            break  # a direct hop leaves no interior to ban, so nothing new remains
+        banned.update(interior)
+    return tried
 
 
 def _refine_with_witness(c: Chain, short_scale: Scale, fine_scale: Scale,
                          budget: SearchBudget | None):
     """Refine every hop; returns (fine chain, witness back to c at short_scale)."""
-    cloud = c.cloud
-    pieces: list[Chain] = []
-    piece_witnesses: list[tuple[Move, ...]] = []
     v = c.vertices
+    refined = [v[0]]
+    piece_witnesses: list[list[Move]] = []
     for hop, (u, w) in enumerate(zip(v, v[1:])):
-        outcomes = []
-        chosen = None
-        for cand in _hop_candidates(cloud, u, w, fine_scale):
-            verdict = is_short(cand.with_scale(short_scale), budget)
-            outcomes.append((cand.vertices, verdict))
-            if verdict.is_homotopic:
-                chosen = (cand, verdict.witness)
-                break
-        if chosen is None:
-            reason = "no fine chain joins the hop" if not outcomes else \
+        tried = _short_candidates(c.cloud, u, w, fine_scale, short_scale, budget)
+        if not tried or not tried[-1][1].is_homotopic:
+            reason = "no fine chain joins the hop" if not tried else \
                 "no candidate fine chain is short at the coarse scale"
-            raise RefinementFailure(hop, (u, w), reason, outcomes)
-        pieces.append(chosen[0])
-        piece_witnesses.append(chosen[1])
-    if not pieces:  # single-vertex chain: nothing to refine
-        return c.with_scale(fine_scale), ()
-    refined = pieces[0]
-    for piece in pieces[1:]:
-        refined = refined.concat(piece)
-    offsets = []
-    at = 0
-    for piece in pieces:
-        offsets.append(at)
-        at += len(piece) - 1
-    witness: list[Move] = []
-    for t in range(len(pieces) - 1, -1, -1):
-        witness.extend(_shift_moves(piece_witnesses[t], offsets[t]))
-    if replay(refined.with_scale(short_scale), witness).vertices != v:
+            raise RefinementFailure(hop, (u, w), reason,
+                                    [(cand.vertices, verdict) for cand, verdict in tried])
+        piece, verdict = tried[-1]
+        offset = len(refined) - 1
+        piece_witnesses.append([replace(m, position=m.position + offset)
+                                for m in verdict.witness])
+        refined += piece.vertices[1:]
+    fine = Chain(c.cloud, refined, fine_scale)
+    witness = tuple(m for moves in reversed(piece_witnesses) for m in moves)
+    if replay(fine.with_scale(short_scale), witness).vertices != v:
         raise RuntimeError("composed refinement witness drifted")
-    return refined, tuple(witness)
+    return fine, witness
 
 
 def refine_chain(c: Chain, short_scale, fine_scale,
@@ -329,38 +319,34 @@ class JoinabilityReport:
 def _short_chain_for_pair(cloud, i, j, sigma: Scale, eps: Scale, budget,
                           record_sigma: float | None) -> PairOutcome:
     dist = cloud.distance(i, j)
-    tried = []
-    for cand in _hop_candidates(cloud, i, j, sigma):
-        verdict = is_short(cand.with_scale(eps), budget)
-        tried.append((cand.vertices, verdict.outcome))
-        if verdict.is_homotopic:
-            return PairOutcome(i, j, dist, "passed", cand.vertices, tuple(tried),
-                               record_sigma)
+    tried = _short_candidates(cloud, i, j, sigma, eps, budget)
     if not tried:
         return PairOutcome(i, j, dist, "refuted", None,
                            ((None, "no_sigma_chain"),), record_sigma)
-    outcome = "refuted" if all(o == "not_homotopic" for _, o in tried) else "unknown"
-    return PairOutcome(i, j, dist, outcome, None, tuple(tried), record_sigma)
+    records = tuple((cand.vertices, verdict.outcome) for cand, verdict in tried)
+    last, verdict = tried[-1]
+    if verdict.is_homotopic:
+        return PairOutcome(i, j, dist, "passed", last.vertices, records, record_sigma)
+    outcome = "refuted" if all(v.is_not_homotopic for _, v in tried) else "unknown"
+    return PairOutcome(i, j, dist, outcome, None, records, record_sigma)
 
 
-def _delta_pairs(cloud: PointCloud, delta: float, seed: int,
-                 pair_threshold: int, sample_cap: int):
+def _delta_pairs(cloud: PointCloud, delta: float, seed: int):
     d = cloud.distances()
     iu, ju = np.nonzero(np.triu(d <= delta, 1))
     pairs = list(zip(iu.tolist(), ju.tolist()))
     policy = "all"
-    if len(cloud) > pair_threshold and len(pairs) > sample_cap:
+    if len(cloud) > PAIR_THRESHOLD and len(pairs) > SAMPLE_CAP:
         rng = np.random.default_rng(seed)
-        pick = rng.choice(len(pairs), size=sample_cap, replace=False)
+        pick = rng.choice(len(pairs), size=SAMPLE_CAP, replace=False)
         pairs = [pairs[k] for k in sorted(pick.tolist())]
-        policy = f"seeded_sample_{sample_cap}"
+        policy = f"seeded_sample_{SAMPLE_CAP}"
     return pairs, policy
 
 
 def local_joinability_scan(cloud: PointCloud, eps, delta, sigma, pairs=None,
-                           budget: SearchBudget | None = None, seed: int = 0,
-                           pair_threshold: int = 2000,
-                           sample_cap: int = 500) -> JoinabilityReport:
+                           budget: SearchBudget | None = None,
+                           seed: int = 0) -> JoinabilityReport:
     """Two-scale surrogate of local joinability at (eps, delta, sigma).
 
     For every pair at distance <= delta, search sigma-chains (shortest, then
@@ -369,25 +355,22 @@ def local_joinability_scan(cloud: PointCloud, eps, delta, sigma, pairs=None,
     budget somewhere.  This is :func:`weakly_chained_probe` at the single
     fine scale sigma, reported as a ``joinability_report``.
     """
-    return _probe(cloud, eps, delta, [sigma], pairs, budget, seed,
-                  pair_threshold, sample_cap, single=True)
+    return _probe(cloud, eps, delta, [sigma], pairs, budget, seed, single=True)
 
 
 def weakly_chained_probe(cloud: PointCloud, eps, delta, sigmas, pairs=None,
-                         budget: SearchBudget | None = None, seed: int = 0,
-                         pair_threshold: int = 2000,
-                         sample_cap: int = 500) -> JoinabilityReport:
+                         budget: SearchBudget | None = None,
+                         seed: int = 0) -> JoinabilityReport:
     """Do delta-close pairs admit eps-short chains at every listed fine scale?
 
     One outcome per (pair, sigma); the probe passes only if every such
     combination found a short chain.
     """
-    return _probe(cloud, eps, delta, sigmas, pairs, budget, seed,
-                  pair_threshold, sample_cap, single=False)
+    return _probe(cloud, eps, delta, sigmas, pairs, budget, seed, single=False)
 
 
-def _probe(cloud, eps, delta, sigmas, pairs, budget, seed, pair_threshold,
-           sample_cap, single: bool) -> JoinabilityReport:
+def _probe(cloud, eps, delta, sigmas, pairs, budget, seed,
+           single: bool) -> JoinabilityReport:
     # a single-sigma probe is a scan: its report names the one sigma in its
     # parameters instead of in every pair record
     eps, delta = as_scale(eps), as_scale(delta)
@@ -400,8 +383,7 @@ def _probe(cloud, eps, delta, sigmas, pairs, budget, seed, pair_threshold,
         raise ValueError("need sigma < delta <= eps")
     policy = "given"
     if pairs is None:
-        pairs, policy = _delta_pairs(cloud, delta.epsilon, seed, pair_threshold,
-                                     sample_cap)
+        pairs, policy = _delta_pairs(cloud, delta.epsilon, seed)
     records = tuple(_short_chain_for_pair(cloud, i, j, s, eps, budget,
                                           None if single else s.epsilon)
                     for i, j in pairs for s in sig)
@@ -471,10 +453,10 @@ def crest_gap_check(cloud: PointCloud, eps=0.5,
     return not bool((cross <= eps).any())
 
 
-def texas_dichotomy(cloud: PointCloud, n: int, mprime: int, sigma=None,
+def texas_dichotomy(cloud: PointCloud, n: int, mprime: int,
                     delete_segment: bool = True) -> bool:
     """Does every sigma-chain from the pair at n*pi avoid-the-segment force a
-    trip to x >= (mprime-1)*pi?
+    trip to x >= (mprime-1)*pi, at sigma = 1/(mprime*pi)?
 
     Concretely: delete all segment-part vertices (unless ``delete_segment``
     is off, the sanity control) and every vertex with x-coordinate at or
@@ -483,7 +465,7 @@ def texas_dichotomy(cloud: PointCloud, n: int, mprime: int, sigma=None,
     """
     if cloud.labels is None or cloud.points is None:
         raise ValueError("texas_dichotomy needs a labeled texas_circle sample")
-    sigma = as_scale(1.0 / (mprime * math.pi) if sigma is None else sigma)
+    sigma = as_scale(1.0 / (mprime * math.pi))
     px, py = texas_pair(n)
     xi, yi = _locate_exact(cloud, px), _locate_exact(cloud, py)
     maxx = float(cloud.points[:, 0].max())
@@ -538,9 +520,14 @@ def texas_obstruction_report(n: int = 2, mprime: int = 5, h: float = 0.02,
     check on the default-density sample, the reachability dichotomy on a
     step-``h`` sample, and the generalized-path refinement on a sample fine
     enough to stay connected at the finest scale of the filtration
-    (eps, 1/(n*pi), 1/(mprime*pi)).
+    (eps, 1/(n*pi), 1/(mprime*pi)), which needs mprime > n.
     """
+    if mprime <= n:
+        raise ValueError(f"need mprime > n, got n={n} and mprime={mprime}: the "
+                         "filtration needs 1/(n*pi) > 1/(mprime*pi)")
+    px, py = texas_pair(n)
     sigma = 1.0 / (mprime * math.pi)
+    filtration = ScaleFiltration((eps, 1.0 / (n * math.pi), sigma))
     default_h = inspect.signature(texas_circle_cloud).parameters["h"].default
     default_cloud = texas_sample(m_end=m_end, n=n)
     crest = crest_gap_check(default_cloud, eps=eps)
@@ -553,10 +540,8 @@ def texas_obstruction_report(n: int = 2, mprime: int = 5, h: float = 0.02,
     # keeps consecutive samples within sigma of each other
     h_refine = sigma / 1.6
     refine_cloud = texas_sample(h=h_refine, m_end=m_end, n=n)
-    px, py = texas_pair(n)
     xi = _locate_exact(refine_cloud, px)
     yi = _locate_exact(refine_cloud, py)
-    filtration = ScaleFiltration((eps, 1.0 / (n * math.pi), sigma))
     gp = build_generalized_path(refine_cloud, xi, yi, filtration, budget)
 
     return {

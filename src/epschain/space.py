@@ -214,11 +214,11 @@ def _check_distance_matrix(mat: np.ndarray) -> None:
 class SpaceSpec:
     """Declarative recipe for a sampled space; ``generate`` turns it into a cloud.
 
-    ``params`` are keywords of the family's sampler function (of
-    :class:`PointCloud` for ``explicit``).  ``must_include`` coordinates are
-    forced verbatim into the sample and labeled by their nearest sampled
-    part.  A keyword the sampler does not take, or ``must_include`` for a
-    family whose sampler cannot force points, raises ValueError.
+    ``params`` are keywords of the family's sampler function.
+    ``must_include`` coordinates are forced verbatim into the sample and
+    labeled by their nearest sampled part.  A keyword the sampler does not
+    take, or ``must_include`` for a family whose sampler cannot force points,
+    raises ValueError.
     """
 
     family: str
@@ -230,8 +230,7 @@ class SpaceSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         object.__setattr__(self, "must_include", tuple((float(x), float(y)) for x, y in self.must_include))
-        make = PointCloud if self.family == "explicit" else _SAMPLERS[self.family]
-        keywords = set(inspect.signature(make).parameters)
+        keywords = set(inspect.signature(_SAMPLERS[self.family]).parameters)
         unknown = sorted(set(self.params) - (keywords - {"name", "must_include"}))
         if self.must_include and "must_include" not in keywords:
             unknown.append("must_include")
@@ -344,6 +343,8 @@ def _assemble(pts, labels, parts, must_include, name) -> PointCloud:
 
 def texas_pair(n: int) -> tuple[tuple[float, float], tuple[float, float]]:
     """The curve/axis point pair at x = n*pi, at vertical distance 1/(n*pi)."""
+    if n < 1:
+        raise ValueError(f"the curve/axis pair at x = n*pi needs n >= 1, got {n}")
     x = n * math.pi
     return (x, 1.0 / x), (x, 0.0)
 
@@ -358,7 +359,7 @@ def texas_sample(n=2, **sampler_args) -> PointCloud:
 
 _SAMPLERS = {"texas_circle": texas_circle_cloud, "circle": circle_cloud,
              "parallel_lines": parallel_lines_cloud, "interval": interval_cloud}
-FAMILIES = (*_SAMPLERS, "explicit")
+FAMILIES = tuple(_SAMPLERS)
 
 
 def generate(spec: SpaceSpec) -> PointCloud:
@@ -367,13 +368,8 @@ def generate(spec: SpaceSpec) -> PointCloud:
     ``spec.params`` go straight to the family's sampler as keywords, so a
     parameter left out takes that sampler's own default.
     """
-    name = spec.name or spec.family
-    if spec.family == "explicit":
-        p = spec.params
-        return PointCloud(points=p.get("points"), matrix=p.get("matrix"),
-                          labels=p.get("labels"), parts=p.get("parts") or None, name=name)
     inclusions = {"must_include": spec.must_include} if spec.must_include else {}
-    return _SAMPLERS[spec.family](**spec.params, **inclusions, name=name)
+    return _SAMPLERS[spec.family](**spec.params, **inclusions, name=spec.name or spec.family)
 
 
 # ---------------------------------------------------------------------------

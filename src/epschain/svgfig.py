@@ -7,7 +7,6 @@ Coordinates are mapped y-up into a fixed-width viewport with a margin.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from pathlib import Path
 
 import numpy as np
 
@@ -17,6 +16,7 @@ from .space import PointCloud
 _PART_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 _CHAIN_COLORS = ("#ff7f0e", "#17becf", "#bcbd22", "#7f7f7f")
 _POINT_RADIUS = 2.0
+_MARGIN = 20.0
 
 
 def _fmt(v: float) -> str:
@@ -27,19 +27,20 @@ def cloud_figure(cloud: PointCloud, chains=(), width: int = 900) -> str:
     """Render a coordinate cloud (and chains over it) as an SVG 1.1 document."""
     if cloud.points is None:
         raise ValueError("only coordinate clouds can be drawn")
+    if width <= 2 * _MARGIN:
+        raise ValueError(f"width must exceed twice the margin, {2 * _MARGIN:g}; got {width}")
     pts = np.asarray(cloud.points, dtype=float)
     if len(pts) == 0:
         pts = np.zeros((1, 2))
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     span = np.maximum(hi - lo, 1e-9)
-    margin = 20.0
-    scale = (width - 2 * margin) / span[0]
-    height = int(round(span[1] * scale + 2 * margin))
+    scale = (width - 2 * _MARGIN) / span[0]
+    height = int(round(span[1] * scale + 2 * _MARGIN))
 
     def to_px(p):
-        x = margin + (p[0] - lo[0]) * scale
-        y = height - margin - (p[1] - lo[1]) * scale
+        x = _MARGIN + (p[0] - lo[0]) * scale
+        y = height - _MARGIN - (p[1] - lo[1]) * scale
         return x, y
 
     svg = ET.Element("svg", xmlns="http://www.w3.org/2000/svg", version="1.1",
@@ -67,8 +68,3 @@ def cloud_figure(cloud: PointCloud, chains=(), width: int = 900) -> str:
         ET.SubElement(svg, "circle", cx=_fmt(px), cy=_fmt(py),
                       r=_fmt(_POINT_RADIUS), fill=fill)
     return ET.tostring(svg, encoding="unicode") + "\n"
-
-
-def write_figure(cloud: PointCloud, path, chains=(), width: int = 900) -> None:
-    Path(path).write_text(cloud_figure(cloud, chains=chains, width=width),
-                          encoding="utf-8")

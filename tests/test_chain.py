@@ -81,12 +81,6 @@ def test_legal_moves_hexagon_delete_illegal():
     assert cloud.distance(0, 2) > 1.01  # the chord that blocks it
 
 
-def test_legal_moves_candidate_restriction():
-    cloud = vertical_cloud(0.0, 0.4, 0.2)
-    chain = Chain(cloud, [0, 1], 0.5)
-    assert legal_moves(chain, candidates=[2]) == [Insert(1, 2)]
-
-
 def test_legal_moves_exhaustive_against_brute_force():
     rng = np.random.default_rng(11)
     for _ in range(200):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
@@ -168,6 +169,9 @@ def test_scan_command_and_determinism(tmp_path):
     assert run(args + ["--out", str(out1)]) == 0
     assert run(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    # an unset --seed is the scan's own default, 0
+    assert run(args + ["--seed", "0", "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
     doc = json.loads(out1.read_text())
     assert doc["summary"]["all_passed"] is True
     assert doc["parameters"]["eps"] == 0.5
@@ -221,6 +225,24 @@ def test_plot_command(tmp_path):
     tags = [el.tag.split("}")[-1] for el in root.iter()]
     assert tags.count("circle") == 12
     assert "polyline" in tags
+    # an unset --width is the figure's own default, 900
+    wide = tmp_path / "fig900.svg"
+    assert run(["plot", "--space", str(space), "--chain", str(cpath),
+                "--width", "900", "--out", str(wide)]) == 0
+    assert out.read_bytes() == wide.read_bytes()
+
+
+@pytest.mark.parametrize("width", ["-5", "0", "10", "40"])
+def test_plot_width_must_exceed_the_margins(tmp_path, capsys, width):
+    space = tmp_path / "circle.json"
+    save_cloud(circle_cloud(12), space)
+    out = tmp_path / "fig.svg"
+    assert run(["plot", "--space", str(space), "--width", width, "--out", str(out)]) == 2
+    assert "width" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ValueError):
+        cloud_figure(circle_cloud(12), width=int(width))
+    assert run(["plot", "--space", str(space), "--width", "41", "--out", str(out)]) == 0
 
 
 def test_svg_rejects_matrix_cloud():
@@ -232,11 +254,33 @@ def test_svg_rejects_matrix_cloud():
 
 def test_usage_errors(tmp_path):
     assert run(["generate", "--family", "moebius"]) == 2
+    assert run(["generate", "--family", "explicit"]) == 2
+    # no curve/axis pair at x = 0, and a dichotomy cut at or below the pair
+    assert run(["texas", "--n", "0"]) == 2
+    assert run(["texas", "--mprime", "0"]) == 2
+    assert run(["generate", "--family", "texas_circle", "--include-pair-at", "0"]) == 2
     assert run(["components", "--space", str(tmp_path / "absent.json"),
                 "--eps", "0.5"]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run(["components", "--space", str(bad), "--eps", "0.5"]) == 2
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["texas"], "65d7d91748265f83"),
+    (["texas", "--mprime", "4", "--h", "0.05", "--m-end", "6"], "b646b564a867fc88"),
+    (["components", "--space", "{circle}", "--eps", "0.2"], "e2b5a53cd21591e5"),
+    (["chain", "--space", "{circle}", "--eps", "0.2", "--from", "0", "--to", "30"],
+     "e79746941634ca9d"),
+])
+def test_report_bytes_are_pinned(tmp_path, argv, digest):
+    # sha256 prefixes of reports whose bytes must not change; the circle
+    # commands read `generate --family circle --n 60`
+    circle = tmp_path / "circle.json"
+    assert run(["generate", "--family", "circle", "--n", "60", "--out", str(circle)]) == 0
+    out = tmp_path / "report.json"
+    assert run([a.format(circle=circle) for a in argv] + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
 
 
 def test_report_documents_are_canonical(tmp_path):

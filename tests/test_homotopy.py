@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from epschain import (Chain, Delete, HomotopyVerdict, PointCloud, SearchBudget,
-                      apply_move, are_homotopic, build, circle_cloud, classify, collapse,
+                      apply_move, are_homotopic, circle_cloud, classify, collapse,
                       components, find_chain, interval_cloud, is_null, is_short,
                       legal_moves, oracle_classes, replay)
 from util import random_cloud, random_scale, random_walk_chain
@@ -94,9 +94,6 @@ def test_precondition_errors():
         are_homotopic(a, Chain(cloud, [0, 5], 1.01))  # endpoint mismatch
     with pytest.raises(ValueError):
         are_homotopic(Chain(cloud, [0, 3], 1.01), Chain(cloud, [0, 3], 1.01))
-    with pytest.raises(ValueError):  # skeleton of another scale, greedy-decidable pair
-        are_homotopic(Chain(cloud, [0, 1, 2], 2.0), Chain(cloud, [0, 2], 2.0),
-                      skeleton=build(cloud, 1.01))
 
 
 def test_unknown_echoes_budget():
@@ -242,7 +239,7 @@ def test_classify_contradiction_raises_runtime_error(monkeypatch):
     cloud = circle_cloud(6)
     chains = [Chain(cloud, v, 2.0) for v in ([0, 2], [0, 1, 2], [0, 3, 2])]
 
-    def contradicting(c1, c2, budget=None, skeleton=None):
+    def contradicting(c1, c2, budget=None):
         refuted = c1 is chains[0] and c2 is chains[2]
         return HomotopyVerdict("not_homotopic" if refuted else "homotopic")
 

@@ -174,12 +174,14 @@ def test_scan_parameter_ordering():
         local_joinability_scan(cloud, 0.5, 0.2, 0.2)
 
 
-def test_scan_pair_sampling_is_seeded():
+def test_scan_pair_sampling_is_seeded(monkeypatch):
+    from epschain import joinability
+
+    monkeypatch.setattr(joinability, "PAIR_THRESHOLD", 10)
+    monkeypatch.setattr(joinability, "SAMPLE_CAP", 6)
     cloud = circle_cloud(40)
-    a = local_joinability_scan(cloud, 0.9, 0.5, 0.2, seed=5,
-                               pair_threshold=10, sample_cap=6)
-    b = local_joinability_scan(cloud, 0.9, 0.5, 0.2, seed=5,
-                               pair_threshold=10, sample_cap=6)
+    a = local_joinability_scan(cloud, 0.9, 0.5, 0.2, seed=5)
+    b = local_joinability_scan(cloud, 0.9, 0.5, 0.2, seed=5)
     assert len(a.pairs) == 6
     assert [(p.i, p.j) for p in a.pairs] == [(p.i, p.j) for p in b.pairs]
     assert a.parameters["pair_policy"] == "seeded_sample_6"
