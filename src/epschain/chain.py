@@ -93,9 +93,6 @@ class Chain:
             raise ValueError(f"junction mismatch: {self.vertices[-1]} vs {other.vertices[0]}")
         return Chain(self.cloud, self.vertices + other.vertices[1:], self.scale)
 
-    def inverse(self) -> "Chain":
-        return Chain(self.cloud, self.vertices[::-1], self.scale)
-
     def with_scale(self, scale) -> "Chain":
         return Chain(self.cloud, self.vertices, scale)
 
@@ -258,9 +255,17 @@ def chain_to_doc(chain: Chain) -> dict:
 def chain_from_doc(doc: dict, cloud: PointCloud) -> Chain:
     if doc.get("space") not in ("", None) and cloud.name and doc["space"] != cloud.name:
         raise DocumentError(f"chain belongs to space {doc['space']!r}, not {cloud.name!r}")
+    # Chain() coerces with int(), which would truncate 1.7 and read "01" or false as
+    # vertices; bool is an int subclass, so it is excluded explicitly.
+    verts, eps = doc.get("vertices"), doc.get("epsilon")
+    if not (isinstance(verts, list)
+            and all(type(v) is not bool and isinstance(v, int) for v in verts)):
+        raise DocumentError(f"bad chain document: vertices {verts!r} are not a list of integers")
+    if type(eps) is bool or not isinstance(eps, (int, float)):
+        raise DocumentError(f"bad chain document: epsilon {eps!r} is not a number")
     try:
-        return Chain(cloud, doc["vertices"], Scale(doc["epsilon"]))
-    except (KeyError, ValueError, IndexError, TypeError) as exc:
+        return Chain(cloud, verts, Scale(eps))
+    except (ValueError, IndexError) as exc:
         raise DocumentError(f"bad chain document: {exc}") from exc
 
 

@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import joinability, rips, space, svgfig
+from . import joinability, space, svgfig
 from .chain import chain_from_doc, chain_to_doc, components, find_chain
 from .documents import SCHEMA_VERSION, DocumentError, dumps_doc, read_doc, write_doc
 from .homotopy import SearchBudget, are_homotopic, is_short

@@ -19,7 +19,6 @@ contracted to a point end at that realization.
 
 from __future__ import annotations
 
-import itertools
 import struct
 import sys
 from collections import deque
@@ -415,56 +414,8 @@ def is_short(c: Chain, budget: SearchBudget | None = None) -> HomotopyVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Grouping and the brute-force oracle
+# The brute-force oracle
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Classification:
-    """Partition of a chain list by decided homotopy verdicts."""
-
-    blocks: tuple[tuple[int, ...], ...]
-    unknown_pairs: tuple[tuple[int, int], ...]
-
-    @property
-    def fully_decided(self) -> bool:
-        return not self.unknown_pairs
-
-
-def classify(chains, budget: SearchBudget | None = None) -> Classification:
-    """Group chains by pairwise verdicts; blocks join only on ``homotopic``."""
-    chains = list(chains)
-    if not chains:
-        return Classification((), ())
-    base = chains[0]
-    for c in chains[1:]:
-        if c.scale != base.scale or c.endpoints != base.endpoints:
-            raise ValueError("classify needs chains sharing scale and endpoints")
-    parent = list(range(len(chains)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    verdicts = {}
-    unknown = []
-    for a, b in itertools.combinations(range(len(chains)), 2):
-        v = are_homotopic(chains[a], chains[b], budget)
-        verdicts[(a, b)] = v
-        if v.is_homotopic:
-            parent[find(a)] = find(b)
-        elif v.is_unknown:
-            unknown.append((a, b))
-    groups: dict[int, list[int]] = {}
-    for k in range(len(chains)):
-        groups.setdefault(find(k), []).append(k)
-    if any(v.is_not_homotopic and find(a) == find(b) for (a, b), v in verdicts.items()):
-        raise RuntimeError("certificate contradicts a witness")
-    blocks = tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
-    flagged = tuple((a, b) for a, b in unknown if find(a) != find(b))
-    return Classification(blocks, flagged)
-
 
 def oracle_classes(cloud: PointCloud, i: int, j: int, scale, max_len: int,
                    guard: int = 500_000) -> list[list[tuple[int, ...]]]:

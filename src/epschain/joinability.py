@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import rips
 from .chain import Chain, Move, _hops_from, chain_to_doc, find_chain
 from .documents import SCHEMA_VERSION
 from .homotopy import HomotopyVerdict, SearchBudget, is_short, replay
@@ -65,11 +64,6 @@ def as_filtration(value) -> ScaleFiltration:
     if isinstance(value, ScaleFiltration):
         return value
     return ScaleFiltration(tuple(float(e) for e in value))
-
-
-def halving_filtration(eps: float, levels: int = 3) -> ScaleFiltration:
-    """Default schedule: eps, eps/2, eps/4, ..."""
-    return ScaleFiltration(tuple(float(eps) / 2 ** k for k in range(levels)))
 
 
 class RefinementFailure(Exception):
@@ -400,28 +394,6 @@ def _probe(cloud, eps, delta, sigmas, pairs, budget, seed,
 # ---------------------------------------------------------------------------
 # texas_circle experiments
 # ---------------------------------------------------------------------------
-
-def export_neighborhood_graph(cloud: PointCloud, scale, path=None) -> dict:
-    """Edge list of the closed entourage graph at a scale.
-
-    Third-party graph tools can re-run any reachability claim made here
-    (components, the dichotomy cut) directly on this document.
-    """
-    skel = rips.build(cloud, scale)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "edge_list",
-        "space": cloud.name,
-        "eps": skel.scale.epsilon,
-        "vertex_count": len(cloud),
-        "edges": [list(e) for e in skel.edges],
-    }
-    if path is not None:
-        from .documents import write_doc
-
-        write_doc(doc, path)
-    return doc
-
 
 def _locate_exact(cloud: PointCloud, xy: tuple[float, float]) -> int:
     if cloud.points is None:

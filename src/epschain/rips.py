@@ -269,13 +269,3 @@ def build(cloud: PointCloud, scale) -> RipsSkeleton:
         skel = RipsSkeleton(cloud, eps)
         cloud._rips_cache[eps] = skel
     return skel
-
-
-def is_bounded(cloud: PointCloud, subset, scale) -> bool:
-    """True iff all pairs of the nonempty subset are within the entourage."""
-    idx = [int(v) for v in subset]
-    if not idx:
-        raise ValueError("boundedness of the empty set is undefined here")
-    d = cloud.distances()
-    eps = as_scale(scale).epsilon
-    return all(d[a, b] <= eps for x, a in enumerate(idx) for b in idx[x + 1:])

@@ -135,10 +135,6 @@ class PointCloud:
             raise IndexError(f"point index out of range: ({i}, {j}) for n={n}")
         return float(self.distances()[i, j])
 
-    def in_entourage(self, i: int, j: int, scale) -> bool:
-        """Closed test: distance(i, j) <= epsilon."""
-        return self.distance(i, j) <= as_scale(scale).epsilon
-
     def neighbors(self, i: int, scale) -> list[int]:
         """Indices j != i with distance(i, j) <= epsilon, sorted."""
         n = len(self)

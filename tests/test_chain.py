@@ -41,24 +41,15 @@ def test_constructor_errors():
         Chain(cloud, [0, 7], 0.5)
 
 
-def test_concat_and_inverse():
+def test_concat():
     cloud = vertical_cloud(0.0, 0.3, 0.6)
     a = Chain(cloud, [0, 1], 0.5)
     b = Chain(cloud, [1, 2], 0.5)
     assert a.concat(b).vertices == (0, 1, 2)
-    assert a.inverse().vertices == (1, 0)
     with pytest.raises(ValueError):
         b.concat(a.with_scale(0.7))  # scale mismatch
     with pytest.raises(ValueError):
         a.concat(Chain(cloud, [0, 1], 0.5))  # junction mismatch
-
-
-def test_inverse_is_involutive():
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        cloud = random_cloud(rng)
-        c = random_walk_chain(rng, cloud, random_scale(rng, cloud))
-        assert c.inverse().inverse() == c
 
 
 def test_legal_moves_two_point_cloud():

@@ -264,6 +264,17 @@ def test_usage_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run(["components", "--space", str(bad), "--eps", "0.5"]) == 2
+    # chain documents that int() would misread: [0, 1.7, 2.2, 3] as [0, 1, 2, 3],
+    # "01" at eps true as [0, 1] at 1.0, and [false, 3] as [0, 3]
+    space, good = tmp_path / "circle.json", tmp_path / "good.json"
+    assert run(["generate", "--family", "circle", "--n", "12", "--out", str(space)]) == 0
+    write_chain(good, Chain(load_cloud(space), [0, 3], 1.5))
+    for vertices, eps in (([0, 1.7, 2.2, 3], 1.5), ("01", True), ([False, 3], 1.5)):
+        write_doc({"schema_version": 1, "kind": "chain", "space": "circle",
+                   "epsilon": eps, "vertices": vertices}, bad)
+        assert run(["short", "--space", str(space), "--chain", str(bad)]) == 2
+        assert run(["homotopy", "--space", str(space), "--c1", str(bad),
+                    "--c2", str(good)]) == 2
 
 
 @pytest.mark.parametrize("argv, digest", [
@@ -272,14 +283,25 @@ def test_usage_errors(tmp_path):
     (["components", "--space", "{circle}", "--eps", "0.2"], "e2b5a53cd21591e5"),
     (["chain", "--space", "{circle}", "--eps", "0.2", "--from", "0", "--to", "30"],
      "e79746941634ca9d"),
+    (["gp", "--space", "{circle360}", "--from", "0", "--to", "180",
+      "--filtration", "0.5,0.25,0.1"], "098241a37bb9f694"),
+    (["homotopy", "--space", "{hexagon}", "--c1", "{c1}", "--c2", "{c2}",
+      "--budget-len", "8", "--budget-states", "5000"], "9c927a4beaaf09e8"),
 ])
 def test_report_bytes_are_pinned(tmp_path, argv, digest):
-    # sha256 prefixes of reports whose bytes must not change; the circle
-    # commands read `generate --family circle --n 60`
-    circle = tmp_path / "circle.json"
-    assert run(["generate", "--family", "circle", "--n", "60", "--out", str(circle)]) == 0
+    # sha256 prefixes of reports whose bytes must not change; the spaces are
+    # `generate --family circle` with --n 60, the default 360 points and --n 6,
+    # and the hexagon chains [0, 1, 2, 3] and [0, 5, 4, 3] at eps = 2 leave
+    # the certificate and greedy contraction to the search
+    files = {name: tmp_path / f"{name}.json"
+             for name in ("circle", "circle360", "hexagon", "c1", "c2")}
+    for name, n in (("circle", ["--n", "60"]), ("circle360", []), ("hexagon", ["--n", "6"])):
+        assert run(["generate", "--family", "circle", *n, "--out", str(files[name])]) == 0
+    hexagon = load_cloud(files["hexagon"])
+    write_chain(files["c1"], Chain(hexagon, [0, 1, 2, 3], 2.0))
+    write_chain(files["c2"], Chain(hexagon, [0, 5, 4, 3], 2.0))
     out = tmp_path / "report.json"
-    assert run([a.format(circle=circle) for a in argv] + ["--out", str(out)]) == 0
+    assert run([a.format(**files) for a in argv] + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
 
 

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from epschain import (Chain, Delete, HomotopyVerdict, PointCloud, SearchBudget,
-                      apply_move, are_homotopic, circle_cloud, classify, collapse,
-                      components, find_chain, interval_cloud, is_null, is_short,
-                      legal_moves, oracle_classes, replay)
+from epschain import (Chain, Delete, PointCloud, SearchBudget, apply_move,
+                      are_homotopic, circle_cloud, collapse, components, find_chain,
+                      interval_cloud, is_null, is_short, legal_moves, oracle_classes,
+                      replay)
 from util import random_cloud, random_scale, random_walk_chain
 
 
@@ -126,40 +126,6 @@ def test_backtrack_collapse_witness():
     assert replay(c1, v.witness).vertices == (0, 1, 2)
 
 
-def test_classify_duplicates_one_block():
-    cloud = circle_cloud(6)
-    c = Chain(cloud, [0, 1, 2, 3], 1.01)
-    res = classify([c, c, c])
-    assert res.blocks == ((0, 1, 2),)
-    assert res.fully_decided
-
-
-def test_classify_hexagon_two_blocks():
-    cloud = circle_cloud(6)
-    cw = Chain(cloud, [0, 1, 2, 3], 1.01)
-    ccw = Chain(cloud, [0, 5, 4, 3], 1.01)
-    res = classify([cw, ccw])
-    assert res.blocks == ((0,), (1,))
-    assert res.fully_decided
-
-
-def test_classify_flags_unknown_pairs():
-    cloud = circle_cloud(6)
-    a = Chain(cloud, [0, 1, 2, 3], 2.0)
-    b = Chain(cloud, [0, 5, 4, 3], 2.0)
-    budget = SearchBudget(max_chain_length=8, max_states=2)
-    res = classify([a, b], budget)
-    assert res.blocks == ((0,), (1,))
-    assert res.unknown_pairs == ((0, 1),)
-    assert not res.fully_decided
-
-
-def test_classify_mixed_endpoints_rejected():
-    cloud = circle_cloud(6)
-    with pytest.raises(ValueError):
-        classify([Chain(cloud, [0, 1], 1.01), Chain(cloud, [1, 2], 1.01)])
-
-
 def test_oracle_two_point_cloud_single_class():
     cloud = PointCloud(points=[(0.0, 0.0), (0.3, 0.0)])
     classes = oracle_classes(cloud, 0, 1, 0.5, 4)
@@ -233,30 +199,18 @@ def test_drifting_witness_raises_runtime_error(monkeypatch):
         are_homotopic(Chain(cloud, [0, 1, 2], 2.0), Chain(cloud, [0, 2], 2.0))
 
 
-def test_classify_contradiction_raises_runtime_error(monkeypatch):
-    from epschain import homotopy
-
-    cloud = circle_cloud(6)
-    chains = [Chain(cloud, v, 2.0) for v in ([0, 2], [0, 1, 2], [0, 3, 2])]
-
-    def contradicting(c1, c2, budget=None):
-        refuted = c1 is chains[0] and c2 is chains[2]
-        return HomotopyVerdict("not_homotopic" if refuted else "homotopic")
-
-    monkeypatch.setattr(homotopy, "are_homotopic", contradicting)
-    with pytest.raises(RuntimeError, match="contradicts"):
-        classify(chains)
-
-
 def test_guards_hold_under_python_O():
-    # -O strips assert statements; the two guards above must not depend on them
-    root = Path(__file__).resolve().parent.parent
-    guards = "test_drifting_witness_raises_runtime_error or test_classify_contradiction"
+    # -O strips assert statements; the internal-fault guards must not depend on them
+    here = Path(__file__).resolve().parent
+    guards = ("test_drifting_witness_raises_runtime_error"
+              " or test_drifting_refinement_witness_raises_runtime_error"
+              " or test_a_step_that_no_edge_makes_is_an_internal_fault")
+    files = [str(here / f) for f in ("test_homotopy.py", "test_joinability.py", "test_search.py")]
     run = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                          str(Path(__file__).resolve()), "-k", guards],
-                         cwd=root, capture_output=True, text=True, timeout=120)
+                          *files, "-k", guards],
+                         cwd=here.parent, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stdout + run.stderr
-    assert "2 passed" in run.stdout, run.stdout
+    assert "3 passed" in run.stdout, run.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 
 from epschain import (Chain, PointCloud, RefinementFailure, ScaleFiltration,
                       build_generalized_path, circle_cloud, crest_gap_check,
-                      export_neighborhood_graph, halving_filtration,
                       interval_cloud, is_short, local_joinability_scan,
                       parallel_lines_cloud, refine_chain, replay,
                       texas_crest_loop, texas_dichotomy,
@@ -36,7 +35,6 @@ def test_filtration_validation():
         ScaleFiltration((0.25, 0.5))
     with pytest.raises(ValueError):
         ScaleFiltration((0.5, 0.0))
-    assert halving_filtration(0.5, 3).scales == (0.5, 0.25, 0.125)
 
 
 def test_refine_single_hop_on_segment():
@@ -290,9 +288,7 @@ def test_crest_loop_is_valid_and_closed():
 def test_exported_edges_recheck_the_dichotomy():
     cloud = texas_sample(h=0.05, m_end=6)
     sigma = 1 / (4 * math.pi)
-    doc = export_neighborhood_graph(cloud, sigma)
-    assert doc["kind"] == "edge_list"
-    assert doc["vertex_count"] == len(cloud)
+    edges = np.argwhere(np.triu(cloud.distances() <= sigma, 1)).tolist()
     # replay the dichotomy cut with a from-scratch BFS over the edge list
     xi = _locate_exact(cloud, texas_pair(2)[0])
     yi = _locate_exact(cloud, texas_pair(2)[1])
@@ -302,7 +298,7 @@ def test_exported_edges_recheck_the_dichotomy():
             if labels[v] != "segment" and cloud.points[v][0] < threshold}
     keep |= {xi, yi}
     adj = {v: set() for v in keep}
-    for i, j in doc["edges"]:
+    for i, j in edges:
         if i in keep and j in keep:
             adj[i].add(j)
             adj[j].add(i)
@@ -313,15 +309,6 @@ def test_exported_edges_recheck_the_dichotomy():
                 seen.add(w)
                 stack.append(w)
     assert (yi not in seen) == texas_dichotomy(cloud, 2, 4)
-
-
-def test_export_writes_document(tmp_path):
-    import json
-
-    cloud = circle_cloud(8)
-    path = tmp_path / "edges.json"
-    doc = export_neighborhood_graph(cloud, 0.8, path)
-    assert json.loads(path.read_text()) == doc
 
 
 def test_obstruction_report_small():

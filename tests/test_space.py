@@ -58,14 +58,14 @@ def test_texas_pair_distance():
 
 def test_entourage_is_closed():
     cloud = PointCloud(matrix=[[0.0, 0.5], [0.5, 0.0]])
-    assert cloud.in_entourage(0, 1, 0.5)
+    assert cloud.neighbors(0, 0.5) == [1]
     cloud2 = PointCloud(matrix=[[0.0, 0.5001], [0.5001, 0.0]])
-    assert not cloud2.in_entourage(0, 1, 0.5)
+    assert cloud2.neighbors(0, 0.5) == []
 
 
 def test_entourage_zero_distance():
     cloud = PointCloud(points=[(1.0, 1.0), (1.0, 1.0)])
-    assert cloud.in_entourage(0, 1, 0.0)
+    assert cloud.neighbors(0, 0.0) == [1]
 
 
 def test_neighbors_isolated_and_trio():
@@ -245,7 +245,7 @@ def test_entourage_symmetry_and_monotonicity():
         e2 = e1 * float(rng.uniform(1.0, 2.0))
         i = int(rng.integers(len(cloud)))
         j = int(rng.integers(len(cloud)))
-        assert cloud.in_entourage(i, j, e1) == cloud.in_entourage(j, i, e1)
+        assert (j in cloud.neighbors(i, e1)) == (i in cloud.neighbors(j, e1))
         assert set(cloud.neighbors(i, e1)) <= set(cloud.neighbors(i, e2))
 
 
