@@ -9,6 +9,7 @@ never coordinates, so chain identity is exact.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 
@@ -56,6 +57,14 @@ class Chain:
         self.vertices = verts
         self.scale = as_scale(scale)
 
+    @classmethod
+    def _trusted(cls, cloud: PointCloud, vertices: tuple[int, ...], scale: Scale) -> "Chain":
+        """A chain over a nonempty tuple of in-range ints this package built
+        itself, at a :class:`Scale`; skips the constructor's conversion and checks."""
+        chain = object.__new__(cls)
+        chain.cloud, chain.vertices, chain.scale = cloud, vertices, scale
+        return chain
+
     def __len__(self) -> int:
         return len(self.vertices)
 
@@ -75,10 +84,7 @@ class Chain:
 
     def is_valid(self) -> bool:
         """True iff every consecutive pair is within the chain's entourage."""
-        d = self.cloud.distances()
-        eps = self.scale.epsilon
-        v = self.vertices
-        return all(d[v[k], v[k + 1]] <= eps for k in range(len(v) - 1))
+        return _is_walk(self.vertices, self.cloud.entourage_bits(self.scale))
 
     def is_closed(self) -> bool:
         return self.vertices[0] == self.vertices[-1]
@@ -94,7 +100,12 @@ class Chain:
         return Chain(self.cloud, self.vertices + other.vertices[1:], self.scale)
 
     def with_scale(self, scale) -> "Chain":
-        return Chain(self.cloud, self.vertices, scale)
+        return Chain._trusted(self.cloud, self.vertices, as_scale(scale))
+
+
+def _is_walk(vertices: tuple[int, ...], bits: list[int]) -> bool:
+    """Is every consecutive pair adjacent in the entourage bitsets ``bits``?"""
+    return all(bits[a] >> b & 1 for a, b in zip(vertices, vertices[1:]))
 
 
 def collapse(vertices: tuple[int, ...]) -> tuple[int, ...]:
@@ -129,25 +140,30 @@ def legal_moves(chain: Chain) -> list[Move]:
 
 def apply_move(chain: Chain, move: Move) -> Chain:
     """Apply one elementary move, checking its legality on this chain."""
-    v = chain.vertices
-    d = chain.cloud.distances()
-    eps = chain.scale.epsilon
+    bits = chain.cloud.entourage_bits(chain.scale)
+    return Chain._trusted(chain.cloud, _moved(chain.vertices, move, bits), chain.scale)
+
+
+def _moved(v: tuple[int, ...], move: Move, bits: list[int]) -> tuple[int, ...]:
+    """The vertices after one move, which must be legal on ``v`` at the scale
+    of the entourage bitsets ``bits``; bit j of ``bits[i]`` is d(i, j) <= eps."""
     if isinstance(move, Delete):
         pos = move.position
         if not 1 <= pos <= len(v) - 2:
             raise ValueError(f"delete position {pos} is not interior for length {len(v)}")
-        if d[v[pos - 1], v[pos + 1]] > eps:
+        if not bits[v[pos - 1]] >> v[pos + 1] & 1:
             raise ValueError(f"deleting position {pos} would break the chain")
-        return Chain(chain.cloud, v[:pos] + v[pos + 1:], chain.scale)
+        return v[:pos] + v[pos + 1:]
     if isinstance(move, Insert):
         pos, p = move.position, move.vertex
         if not 1 <= pos <= len(v) - 1:
             raise ValueError(f"insert position {pos} is not an interior gap for length {len(v)}")
-        if not 0 <= p < len(chain.cloud):
+        if not 0 <= p < len(bits):
             raise IndexError(f"vertex {p} out of range")
-        if d[p, v[pos - 1]] > eps or d[p, v[pos]] > eps:
+        p = operator.index(p)
+        if not (bits[p] >> v[pos - 1] & 1 and bits[p] >> v[pos] & 1):
             raise ValueError(f"vertex {p} is not close to both sides of gap {pos}")
-        return Chain(chain.cloud, v[:pos] + (p,) + v[pos:], chain.scale)
+        return v[:pos] + (p,) + v[pos:]
     raise TypeError(f"not an elementary move: {move!r}")
 
 
@@ -188,7 +204,7 @@ def find_chain(cloud: PointCloud, i: int, j: int, scale, banned=()) -> Chain | N
         raise IndexError(f"point index out of range: ({i}, {j}) for n={n}")
     scale = as_scale(scale)
     if i == j:
-        return Chain(cloud, [i], scale)
+        return Chain._trusted(cloud, (int(i),), scale)
     bits = cloud.entourage_bits(scale)
     banned_mask = 0
     for b in banned:
@@ -197,7 +213,7 @@ def find_chain(cloud: PointCloud, i: int, j: int, scale, banned=()) -> Chain | N
     dist = _hops_from(bits, j, n, banned_mask, stop=i)
     if dist[i] < 0:
         return None
-    verts = [i]
+    verts = [int(i)]
     cur = i
     while cur != j:
         m = bits[cur] & ~banned_mask & ~(1 << cur)
@@ -210,7 +226,7 @@ def find_chain(cloud: PointCloud, i: int, j: int, scale, banned=()) -> Chain | N
                 break  # bits iterate low to high, so the first hit is smallest
         cur = best
         verts.append(cur)
-    return Chain(cloud, verts, scale)
+    return Chain._trusted(cloud, tuple(verts), scale)
 
 
 def _hops_from(bits: list[int], src: int, n: int, banned_mask: int = 0,

@@ -2,12 +2,17 @@
 
 Every document carries a ``schema_version`` and a ``kind`` field.  Emission is
 canonical (sorted keys, two-space indent, trailing newline) so that identical
-inputs produce byte-identical files.
+inputs produce byte-identical files: :func:`dumps_doc` writes exactly the
+bytes of ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline.  Any
+``indent`` sends ``json`` to its pure-Python encoder, so the emitter here is
+written out by hand; it follows ``json``'s type tests, including those for
+subclasses, and raises ``TypeError`` where ``json`` does.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 SCHEMA_VERSION = 1
@@ -17,8 +22,104 @@ class DocumentError(ValueError):
     """Raised when a document is malformed or fails validation."""
 
 
+# float.__repr__ of the non-finite floats, and what json writes for them
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_str(x: float) -> str:
+    text = float.__repr__(x)
+    return _NONFINITE.get(text, text)
+
+
+def _bool_str(b: bool) -> str:
+    return "true" if b else "false"
+
+
+# scalars of exactly these types; subclasses take json's isinstance order
+_SCALARS = {str: _encode_str, int: int.__repr__, float: _float_str, bool: _bool_str,
+            type(None): lambda _: "null"}
+
+
+def _scalar(o):
+    """json's text for a scalar, or None when ``o`` is a container or foreign."""
+    if isinstance(o, str):
+        return _encode_str(o)
+    if o is None:
+        return "null"
+    if o is True or o is False:
+        return _bool_str(o)
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_str(o)
+    return None
+
+
+def _key_str(key) -> str:
+    if isinstance(key, str):
+        return _encode_str(key)
+    text = _scalar(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {key.__class__.__name__}")
+    return _encode_str(text)
+
+
+def _emit(o, indent: str, out: list) -> None:
+    """Append the text of ``o`` to ``out``; ``indent`` is a newline and the
+    indentation of the line that ``o`` starts on."""
+    to_str = _SCALARS.get(type(o))
+    if to_str is not None:
+        out.append(to_str(o))
+        return
+    if isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        if all(type(v) is int for v in o):
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, o))
+                       + indent + "]")
+            return
+        sep = "[" + inner
+        for v in o:
+            to_str = _SCALARS.get(type(v))
+            if to_str is not None:
+                out.append(sep + to_str(v))
+            else:
+                out.append(sep)
+                _emit(v, inner, out)
+            sep = "," + inner
+        out.append(indent + "]")
+        return
+    if isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, v in sorted(o.items()):
+            head = sep + (_encode_str(key) if type(key) is str else _key_str(key)) + ": "
+            to_str = _SCALARS.get(type(v))
+            if to_str is not None:
+                out.append(head + to_str(v))
+            else:
+                out.append(head)
+                _emit(v, inner, out)
+            sep = "," + inner
+        out.append(indent + "}")
+        return
+    text = _scalar(o)
+    if text is None:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+    out.append(text)
+
+
 def dumps_doc(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    out: list[str] = []
+    _emit(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def write_doc(doc: dict, path) -> None:

@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import rips
-from .chain import Chain, Delete, Insert, Move, apply_move, collapse, _hops_from
+from .chain import Chain, Delete, Insert, Move, collapse, _hops_from, _is_walk, _moved
 from .rips import CycleClass
 from .space import PointCloud
 
@@ -99,11 +99,13 @@ class HomotopyVerdict:
 
 
 def replay(chain: Chain, moves) -> Chain:
-    """Apply a move sequence; raises if any step is illegal on its chain."""
-    cur = chain
+    """Apply a move sequence; raises as :func:`apply_move` does if any step is
+    illegal on its chain."""
+    bits = chain.cloud.entourage_bits(chain.scale)
+    v = chain.vertices
     for m in moves:
-        cur = apply_move(cur, m)
-    return cur
+        v = _moved(v, m, bits)
+    return Chain._trusted(chain.cloud, v, chain.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +296,8 @@ def are_homotopic(c1: Chain, c2: Chain, budget: SearchBudget | None = None) -> H
         raise ValueError(f"scale mismatch: {c1.scale.epsilon} vs {c2.scale.epsilon}")
     if c1.endpoints != c2.endpoints:
         raise ValueError(f"endpoint mismatch: {c1.endpoints} vs {c2.endpoints}")
-    if not (c1.is_valid() and c2.is_valid()):
+    bits = c1.cloud.entourage_bits(c1.scale)
+    if not (_is_walk(c1.vertices, bits) and _is_walk(c2.vertices, bits)):
         raise ValueError("both chains must be valid at their scale")
     budget = default_budget(c1, c2, budget)
 
@@ -306,7 +309,7 @@ def are_homotopic(c1: Chain, c2: Chain, budget: SearchBudget | None = None) -> H
 
     def done(middle, states):
         witness = tuple(prefix) + tuple(middle) + tuple(suffix)
-        if replay(Chain(c1.cloud, v1, c1.scale), witness).vertices != v2:
+        if replay(Chain._trusted(c1.cloud, v1, c1.scale), witness).vertices != v2:
             raise RuntimeError("witness replay drifted")
         return HomotopyVerdict("homotopic", witness=witness, budget=budget,
                                states_explored=states)
@@ -314,7 +317,6 @@ def are_homotopic(c1: Chain, c2: Chain, budget: SearchBudget | None = None) -> H
     if s1 == s2:
         return done([], 0)
 
-    bits = c1.cloud.entourage_bits(c1.scale)
     mid = _greedy_contract(r1, r2, bits)
     if mid is not None:
         return done(mid, 0)
@@ -397,7 +399,7 @@ def is_null(loop: Chain, budget: SearchBudget | None = None) -> HomotopyVerdict:
     if not loop.is_closed():
         raise ValueError("is_null needs a closed chain")
     p = loop.vertices[0]
-    return are_homotopic(loop, Chain(loop.cloud, (p, p), loop.scale), budget)
+    return are_homotopic(loop, Chain._trusted(loop.cloud, (p, p), loop.scale), budget)
 
 
 def is_short(c: Chain, budget: SearchBudget | None = None) -> HomotopyVerdict:
@@ -410,7 +412,7 @@ def is_short(c: Chain, budget: SearchBudget | None = None) -> HomotopyVerdict:
     if c.cloud.distance(x, y) > c.scale.epsilon:
         raise ValueError(f"endpoints {x}, {y} are farther apart than eps="
                          f"{c.scale.epsilon}; the chain [x, y] does not exist")
-    return are_homotopic(c, Chain(c.cloud, (x, y), c.scale), budget)
+    return are_homotopic(c, Chain._trusted(c.cloud, (x, y), c.scale), budget)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,8 @@ class ScaleFiltration:
         eps = tuple(float(e) for e in self.scales)
         if len(eps) < 2:
             raise ValueError("a filtration needs at least two scales")
+        if not all(math.isfinite(e) for e in eps):
+            raise ValueError(f"all scales must be finite, got {eps}")
         if any(e <= 0 for e in eps):
             raise ValueError("all scales must be positive")
         if any(a <= b for a, b in zip(eps, eps[1:])):
@@ -310,9 +312,8 @@ class JoinabilityReport:
         }
 
 
-def _short_chain_for_pair(cloud, i, j, sigma: Scale, eps: Scale, budget,
+def _short_chain_for_pair(cloud, i, j, dist: float, sigma: Scale, eps: Scale, budget,
                           record_sigma: float | None) -> PairOutcome:
-    dist = cloud.distance(i, j)
     tried = _short_candidates(cloud, i, j, sigma, eps, budget)
     if not tried:
         return PairOutcome(i, j, dist, "refuted", None,
@@ -326,9 +327,10 @@ def _short_chain_for_pair(cloud, i, j, sigma: Scale, eps: Scale, budget,
 
 
 def _delta_pairs(cloud: PointCloud, delta: float, seed: int):
+    """The (i, j, distance) triples of the delta-close pairs i < j, and their policy."""
     d = cloud.distances()
     iu, ju = np.nonzero(np.triu(d <= delta, 1))
-    pairs = list(zip(iu.tolist(), ju.tolist()))
+    pairs = list(zip(iu.tolist(), ju.tolist(), d[iu, ju].tolist()))
     policy = "all"
     if len(cloud) > PAIR_THRESHOLD and len(pairs) > SAMPLE_CAP:
         rng = np.random.default_rng(seed)
@@ -375,12 +377,13 @@ def _probe(cloud, eps, delta, sigmas, pairs, budget, seed,
         raise ValueError("fine scales must strictly decrease")
     if not sig[0].epsilon < delta.epsilon <= eps.epsilon:
         raise ValueError("need sigma < delta <= eps")
-    policy = "given"
     if pairs is None:
         pairs, policy = _delta_pairs(cloud, delta.epsilon, seed)
-    records = tuple(_short_chain_for_pair(cloud, i, j, s, eps, budget,
+    else:
+        pairs, policy = [(i, j, cloud.distance(i, j)) for i, j in pairs], "given"
+    records = tuple(_short_chain_for_pair(cloud, i, j, dist, s, eps, budget,
                                           None if single else s.epsilon)
-                    for i, j in pairs for s in sig)
+                    for i, j, dist in pairs for s in sig)
     params = {"eps": eps.epsilon, "delta": delta.epsilon, "seed": seed,
               "pair_policy": policy, "max_alternatives": MAX_ALTERNATIVES,
               "budget": None if budget is None else budget.to_record()}

@@ -251,6 +251,7 @@ def texas_circle_cloud(h=0.05, h_segment=None, m_end=8.0, must_include=(), name=
     h = float(h)
     h_segment = h if h_segment is None else float(h_segment)
     m_end = float(m_end)
+    _require_finite(h=h, h_segment=h_segment, m_end=m_end)
     if h <= 0 or h_segment <= 0:
         raise ValueError("sampling steps must be strictly positive")
     if m_end * math.pi <= math.pi:
@@ -289,6 +290,7 @@ def parallel_lines_cloud(gap=1.0, step=0.04, length=5.0, must_include=(), name="
     entourage test that its real value would satisfy.
     """
     gap, step, length = float(gap), float(step), float(length)
+    _require_finite(gap=gap, step=step, length=length)
     if step <= 0 or length <= 0 or gap <= 0:
         raise ValueError("gap, step, and length must be strictly positive")
     xs = step * np.arange(int(np.floor(length / step)) + 1)
@@ -306,10 +308,19 @@ def parallel_lines_cloud(gap=1.0, step=0.04, length=5.0, must_include=(), name="
 def interval_cloud(length=1.0, step=0.05, name="interval"):
     """The segment [0, length] on the x-axis, sampled with step ``step``."""
     length, step = float(length), float(step)
+    _require_finite(length=length, step=step)
     if step <= 0 or length < 0:
         raise ValueError("step must be positive and length nonnegative")
     xs = step * np.arange(int(np.floor(length / step)) + 1)
     return PointCloud(points=[(float(x), 0.0) for x in xs], name=name)
+
+
+def _require_finite(**params: float) -> None:
+    # checked before any grid is laid out: np.arange cannot size an infinite
+    # or NaN range, and warns on the way
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _assemble(pts, labels, parts, must_include, name) -> PointCloud:

@@ -5,8 +5,8 @@ import pytest
 
 from epschain import (Chain, Delete, Insert, PointCloud, apply_move,
                       chain_from_doc, chain_to_doc, circle_cloud, components,
-                      find_chain, legal_moves, parallel_lines_cloud, texas_pair,
-                      texas_sample)
+                      find_chain, legal_moves, parallel_lines_cloud, replay,
+                      texas_pair, texas_sample)
 from epschain.documents import DocumentError
 from util import (brute_force_components, brute_force_shortest_hops,
                   enumerate_shortest_chains, random_cloud, random_scale,
@@ -234,3 +234,37 @@ def test_chain_document_roundtrip():
     other.name = "other_space"
     with pytest.raises(DocumentError):
         chain_from_doc(doc, other)
+
+
+@pytest.mark.parametrize("move, error", [
+    (Delete(0), ValueError), (Delete(2), ValueError),  # not interior
+    (Delete(1), ValueError),  # d(0, 2) > eps: deleting breaks the chain
+    (Insert(0, 1), ValueError), (Insert(3, 1), ValueError),  # no such gap
+    (Insert(1, 6), IndexError), (Insert(1, -1), IndexError),  # no such vertex
+    (Insert(1, 3), ValueError),  # vertex 3 is too far from both sides
+    (Insert(1, 5), ValueError), (Insert(2, 3), ValueError),  # too far from one side
+    ("delete 1", TypeError),  # not a move
+])
+def test_replay_rejects_what_apply_move_rejects(move, error):
+    cloud = circle_cloud(6)
+    chain = Chain(cloud, [0, 1, 2], 1.01)
+    with pytest.raises(error) as applied:
+        apply_move(chain, move)
+    with pytest.raises(error) as replayed:
+        replay(chain, [move])
+    assert str(replayed.value) == str(applied.value)
+    # the same move after a legal step that leaves the chain as it was
+    with pytest.raises(error):
+        replay(chain, [Insert(1, 1), Delete(1), move])
+
+
+def test_legality_holds_at_the_closed_boundary():
+    cloud = PointCloud(points=[(0.0, 0.0), (0.3, 0.7), (0.1, 0.2)])
+    d01 = cloud.distance(0, 1)
+    below = float(np.nextafter(d01, 0))
+    assert Chain(cloud, [0, 1], d01).is_valid()
+    assert not Chain(cloud, [0, 1], below).is_valid()
+    # deleting 2 from [0, 2, 1] leaves the hop 0-1
+    assert replay(Chain(cloud, [0, 2, 1], d01), [Delete(1)]).vertices == (0, 1)
+    with pytest.raises(ValueError, match="break"):
+        replay(Chain(cloud, [0, 2, 1], below), [Delete(1)])

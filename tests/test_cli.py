@@ -275,6 +275,16 @@ def test_usage_errors(tmp_path):
         assert run(["short", "--space", str(space), "--chain", str(bad)]) == 2
         assert run(["homotopy", "--space", str(space), "--c1", str(bad),
                     "--c2", str(good)]) == 2
+    # non-finite sampling parameters, refused before any grid is laid out
+    for argv in (["generate", "--family", "parallel_lines", "--length", "inf"],
+                 ["generate", "--family", "interval", "--length", "inf"],
+                 ["generate", "--family", "texas_circle", "--m-end", "inf"],
+                 ["texas", "--m-end", "inf"],
+                 ["generate", "--family", "texas_circle", "--h", "inf"],
+                 ["generate", "--family", "texas_circle", "--hseg", "inf"],
+                 ["generate", "--family", "parallel_lines", "--step", "inf"],
+                 ["generate", "--family", "interval", "--step", "nan"]):
+        assert run(argv) == 2
 
 
 @pytest.mark.parametrize("argv, digest", [
@@ -287,16 +297,23 @@ def test_usage_errors(tmp_path):
       "--filtration", "0.5,0.25,0.1"], "098241a37bb9f694"),
     (["homotopy", "--space", "{hexagon}", "--c1", "{c1}", "--c2", "{c2}",
       "--budget-len", "8", "--budget-states", "5000"], "9c927a4beaaf09e8"),
+    (["scan", "--space", "{lines}", "--eps", "0.5", "--delta", "0.2", "--sigma", "0.05"],
+     "916385673c5ebea0"),
+    (["generate", "--family", "circle", "--n", "60"], "aa64bc067acd7dbf"),
 ])
 def test_report_bytes_are_pinned(tmp_path, argv, digest):
     # sha256 prefixes of reports whose bytes must not change; the spaces are
     # `generate --family circle` with --n 60, the default 360 points and --n 6,
-    # and the hexagon chains [0, 1, 2, 3] and [0, 5, 4, 3] at eps = 2 leave
-    # the certificate and greedy contraction to the search
+    # and `generate --family parallel_lines --length 2` (458 close pairs, all
+    # passed), and the hexagon chains [0, 1, 2, 3] and [0, 5, 4, 3] at eps = 2
+    # leave the certificate and greedy contraction to the search
     files = {name: tmp_path / f"{name}.json"
-             for name in ("circle", "circle360", "hexagon", "c1", "c2")}
+             for name in ("circle", "circle360", "hexagon", "lines", "c1", "c2")}
     for name, n in (("circle", ["--n", "60"]), ("circle360", []), ("hexagon", ["--n", "6"])):
         assert run(["generate", "--family", "circle", *n, "--out", str(files[name])]) == 0
+    assert run(["generate", "--family", "parallel_lines", "--length", "2",
+                "--out", str(files["lines"])]) == 0
+    assert hashlib.sha256(files["lines"].read_bytes()).hexdigest()[:16] == "879920999fc76b24"
     hexagon = load_cloud(files["hexagon"])
     write_chain(files["c1"], Chain(hexagon, [0, 1, 2, 3], 2.0))
     write_chain(files["c2"], Chain(hexagon, [0, 5, 4, 3], 2.0))

@@ -35,6 +35,9 @@ def test_filtration_validation():
         ScaleFiltration((0.25, 0.5))
     with pytest.raises(ValueError):
         ScaleFiltration((0.5, 0.0))
+    for scales in ((math.nan, 0.1), (math.inf, 0.5), (0.5, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            ScaleFiltration(scales)
 
 
 def test_refine_single_hop_on_segment():
