@@ -108,6 +108,20 @@ def _is_walk(vertices: tuple[int, ...], bits: list[int]) -> bool:
     return all(bits[a] >> b & 1 for a, b in zip(vertices, vertices[1:]))
 
 
+def _set_bits(m: int, start: int) -> list[int]:
+    """Ascending positions >= start of the set bits of m."""
+    out = []
+    m >>= start
+    k = start
+    while m:
+        step = (m & -m).bit_length() - 1
+        k += step
+        out.append(k)
+        m >>= step + 1
+        k += 1
+    return out
+
+
 def collapse(vertices: tuple[int, ...]) -> tuple[int, ...]:
     out = [vertices[0]]
     for v in vertices[1:]:
@@ -130,11 +144,7 @@ def legal_moves(chain: Chain) -> list[Move]:
         if (bits[v[pos - 1]] >> v[pos + 1]) & 1:
             moves.append(Delete(pos))
     for pos in range(1, n):
-        common = bits[v[pos - 1]] & bits[v[pos]]
-        while common:
-            p = (common & -common).bit_length() - 1
-            moves.append(Insert(pos, p))
-            common &= common - 1
+        moves += [Insert(pos, p) for p in _set_bits(bits[v[pos - 1]] & bits[v[pos]], 0)]
     return moves
 
 
@@ -182,10 +192,7 @@ def components(cloud: PointCloud, scale) -> list[list[int]]:
         while stack:
             u = stack.pop()
             block.append(u)
-            m = bits[u]
-            while m:
-                w = (m & -m).bit_length() - 1
-                m &= m - 1
+            for w in _set_bits(bits[u], 0):
                 if not seen[w]:
                     seen[w] = True
                     stack.append(w)
@@ -199,12 +206,13 @@ def find_chain(cloud: PointCloud, i: int, j: int, scale, banned=()) -> Chain | N
     Ties are broken toward the lexicographically smallest vertex sequence.
     ``banned`` vertices (never i or j themselves) are treated as absent.
     """
+    i, j = operator.index(i), operator.index(j)
     n = len(cloud)
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"point index out of range: ({i}, {j}) for n={n}")
     scale = as_scale(scale)
     if i == j:
-        return Chain._trusted(cloud, (int(i),), scale)
+        return Chain._trusted(cloud, (i,), scale)
     bits = cloud.entourage_bits(scale)
     banned_mask = 0
     for b in banned:
@@ -213,7 +221,7 @@ def find_chain(cloud: PointCloud, i: int, j: int, scale, banned=()) -> Chain | N
     dist = _hops_from(bits, j, n, banned_mask, stop=i)
     if dist[i] < 0:
         return None
-    verts = [int(i)]
+    verts = [i]
     cur = i
     while cur != j:
         m = bits[cur] & ~banned_mask & ~(1 << cur)

@@ -19,13 +19,15 @@ contracted to a point end at that realization.
 
 from __future__ import annotations
 
+import operator
 import struct
 import sys
 from collections import deque
 from dataclasses import dataclass
 
 from . import rips
-from .chain import Chain, Delete, Insert, Move, collapse, _hops_from, _is_walk, _moved
+from .chain import (Chain, Delete, Insert, Move, collapse, _hops_from, _is_walk, _moved,
+                    _set_bits)
 from .rips import CycleClass
 from .space import PointCloud
 
@@ -41,9 +43,17 @@ class SearchBudget:
     max_states: int | None = None
 
     def __post_init__(self):
-        for cap in (self.max_chain_length, self.max_states):
-            if cap is not None and cap < 1:
+        for name in ("max_chain_length", "max_states"):
+            cap = getattr(self, name)
+            if cap is None:
+                continue
+            try:
+                cap = operator.index(cap)
+            except TypeError:
+                raise TypeError(f"budget field {name} must be an integer, not {cap!r}") from None
+            if cap < 1:
                 raise ValueError("budget fields must be >= 1")
+            object.__setattr__(self, name, cap)
 
     def to_record(self) -> dict:
         """The fields that are set; a budget resolved for a query sets both."""
@@ -199,12 +209,9 @@ def _successors(key: bytes, code: str, gaps: dict, bits, max_len) -> list[bytes]
 
 def _common_codes(bits, a: int, b: int, w: int) -> tuple[bytes, ...]:
     common = bits[a] & bits[b] & ~((1 << a) | (1 << b))
-    codes = []
-    while common:
-        low = common & -common
-        common ^= low
-        codes.append((low.bit_length() - 1).to_bytes(w, sys.byteorder))
-    return tuple(codes)
+    # from a list: a tuple grown from a generator may keep spare slots, and
+    # the search caches one per gap
+    return tuple([c.to_bytes(w, sys.byteorder) for c in _set_bits(common, 0)])
 
 
 def _step_moves(state, child, bits, max_len) -> list[Move]:

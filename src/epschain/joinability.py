@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -380,6 +381,7 @@ def _probe(cloud, eps, delta, sigmas, pairs, budget, seed,
     if pairs is None:
         pairs, policy = _delta_pairs(cloud, delta.epsilon, seed)
     else:
+        pairs = [(operator.index(i), operator.index(j)) for i, j in pairs]
         pairs, policy = [(i, j, cloud.distance(i, j)) for i, j in pairs], "given"
     records = tuple(_short_chain_for_pair(cloud, i, j, dist, s, eps, budget,
                                           None if single else s.epsilon)

@@ -35,16 +35,28 @@ stored.  For an owning edge of length D, the lowest vertex strictly nearer
 than D to both of its ends is such an apex for every owned c above it and
 strictly nearer than D to it, so those c are dropped as one set before the
 rest are tested one by one: the prefilter is the apex rule applied to a set.
+
+The owning edges are visited in one sweep over the edges in length order,
+a group of equal lengths D at a time.  Two bitsets per vertex carry the
+sets the rule names: ``lt[v]``, the vertices strictly nearer than D to v,
+and ``le[v]``, those within D.  A group first adds its edges to ``le`` at
+both ends, then tests each of its edges, then lets ``lt`` catch up with
+``le`` at its endpoints; so during the tests ``lt`` holds exactly the edges
+of earlier groups and ``le`` those of this group too.  An edge joins the
+sets of both of its ends at once, which is right because a distance and
+its transpose are the same float: a coordinate difference negates exactly,
+and a distance matrix must be exactly symmetric.  The kept columns are
+sorted at the end, so the order of the sweep never reaches the pivots.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
-from .chain import Chain, components
+from .chain import Chain, _set_bits, components
 from .space import PointCloud, as_scale
 
 
@@ -72,10 +84,45 @@ class RipsSkeleton:
         bits = self.cloud.entourage_bits(self.scale)
         return [(i, j, k) for i, j in self.edges for k in _set_bits(bits[i] & bits[j], j + 1)]
 
-    def boundary2_columns(self):
-        """Per-triangle edge-index triples: column t of the triangle boundary."""
-        ei = self.edge_index
-        return [(ei[(i, j)], ei[(i, k)], ei[(j, k)]) for (i, j, k) in self.triangles]
+    def _columns(self) -> list[tuple[float, int, int, int]]:
+        """The (diameter, i, j, k) columns, i < j < k, that the apex test of
+        the module docstring keeps, sorted; found by one length-ordered sweep."""
+        n = len(self.cloud)
+        ends = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        lengths = self.cloud.distances()[ends[:, 0], ends[:, 1]]
+        order = np.argsort(lengths, kind="stable").tolist()
+        lengths = lengths.tolist()
+        below = [(1 << b) - 1 for b in range(n + 1)]
+        lt, le = [0] * n, [0] * n
+        cols = []
+        for diam, run in groupby(order, key=lengths.__getitem__):
+            group = [self.edges[e] for e in run]
+            for a, b in group:
+                le[a] |= 1 << b
+                le[b] |= 1 << a
+            for a, b in group:
+                lt_a, lt_b = lt[a], lt[b]
+                eq_a, eq_b = le[a] ^ lt_a, le[b] ^ lt_b
+                # third vertices c of the triangles that (a, b) owns: within
+                # diam of a and b, and below b if (a, c) ties with (a, b), and
+                # below a if (b, c) does, since those edges are opposite b and a
+                strict = lt_a & lt_b
+                owned = strict | (eq_a & lt_b & below[b]) | (eq_b & (lt_a | eq_a) & below[a])
+                if strict:
+                    # the lowest strict vertex is an apex for every owned c
+                    # above it and strictly nearer than diam to it
+                    low = (strict & -strict).bit_length() - 1
+                    owned &= ~(lt[low] & ~below[low + 1])
+                for c in _set_bits(owned, 0):
+                    # an apex below c, strictly nearer than diam to a, b and c,
+                    # makes the other faces of the tetrahedron earlier columns
+                    apex = strict & below[c]
+                    if not (apex and apex & lt[c]):
+                        cols.append((diam, *sorted((a, b, c))))
+            for a, b in group:
+                lt[a], lt[b] = le[a], le[b]
+        cols.sort()
+        return cols
 
     def _triangle_pivots(self) -> dict[int, int]:
         """Column-echelon pivots of the triangle boundary, keyed by low bit.
@@ -87,36 +134,9 @@ class RipsSkeleton:
         the apex test of the module docstring proves zero are never built.
         """
         if self._pivots is None:
-            up, radii, inside = _neighbourhoods(self.cloud.distances(), self.scale.epsilon)
-            below = [(1 << b) - 1 for b in range(len(self.cloud) + 1)]
-            cols = []
-            for a, b in self.edges:
-                diam = up[a][b]
-                rad_a, in_a, rad_b, in_b = radii[a], inside[a], radii[b], inside[b]
-                na, nb = bisect_left(rad_a, diam), bisect_left(rad_b, diam)
-                lt_a, lt_b = in_a[na], in_b[nb]
-                eq_a = in_a[bisect_right(rad_a, diam, na)] ^ lt_a
-                eq_b = in_b[bisect_right(rad_b, diam, nb)] ^ lt_b
-                # third vertices c of the triangles that (a, b) owns: within
-                # diam of a and b, and below b if (a, c) ties with (a, b), and
-                # below a if (b, c) does, since those edges are opposite b and a
-                strict = lt_a & lt_b
-                owned = strict | (eq_a & lt_b & below[b]) | (eq_b & (lt_a | eq_a) & below[a])
-                if strict:
-                    # the lowest strict vertex is an apex for every owned c
-                    # above it and strictly nearer than diam to it
-                    low = (strict & -strict).bit_length() - 1
-                    owned &= ~(inside[low][bisect_left(radii[low], diam)] & ~below[low + 1])
-                for c in _set_bits(owned, 0):
-                    # an apex below c, strictly nearer than diam to a, b and c,
-                    # makes the other faces of the tetrahedron earlier columns
-                    apex = strict & below[c]
-                    if not (apex and apex & inside[c][bisect_left(radii[c], diam)]):
-                        cols.append((diam, *sorted((a, b, c))))
-            cols.sort()
             ei = self.edge_index
             pivots: dict[int, int] = {}
-            for (_, i, j, k) in cols:
+            for (_, i, j, k) in self._columns():
                 # edges (i, j) < (i, k) < (j, k): the column's lowest bit is (i, j)
                 off = ei[(i, j)]
                 col = 1 | 1 << (ei[(i, k)] - off) | 1 << (ei[(j, k)] - off)
@@ -203,62 +223,7 @@ class CycleClass:
 
     def support(self) -> list[tuple[int, int]]:
         """Edges carrying the residue, in edge-index order."""
-        out = []
-        v = self.residue
-        while v:
-            idx = (v & -v).bit_length() - 1
-            out.append(self.skeleton.edges[idx])
-            v &= v - 1
-        return out
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, CycleClass) and self.skeleton is other.skeleton
-                and self.residue == other.residue)
-
-
-def _set_bits(m: int, start: int) -> list[int]:
-    """Ascending positions >= start of the set bits of m."""
-    out = []
-    m >>= start
-    k = start
-    while m:
-        step = (m & -m).bit_length() - 1
-        k += step
-        out.append(k)
-        m >>= step + 1
-        k += 1
-    return out
-
-
-def _neighbourhoods(d: np.ndarray, eps: float):
-    """Per-vertex views of the other vertices within eps, nearest first.
-
-    ``up[v]`` maps each such u > v to its distance, ``radii[v]`` lists the
-    distances of all of them ascending, and ``inside[v][r]`` is the bitset of
-    the first r of them.  So ``inside[v][bisect_left(radii[v], x)]`` is the
-    set of vertices strictly nearer than x to v, for any x <= eps, and with
-    ``bisect_right`` it is the set within x.
-    """
-    close = d <= eps
-    np.fill_diagonal(close, False)
-    rows, cols = np.nonzero(close)
-    dist = d[rows, cols]
-    order = np.lexsort((dist, rows))
-    nbr, rad = cols[order].tolist(), dist[order].tolist()
-    up, radii, inside = [], [], []
-    start = 0
-    for v, end in enumerate(np.cumsum(np.count_nonzero(close, axis=1)).tolist()):
-        us, rs = nbr[start:end], rad[start:end]
-        up.append({u: r for u, r in zip(us, rs) if u > v})
-        radii.append(rs)
-        acc = 0
-        prefix = [0]
-        for u in us:
-            acc |= 1 << u
-            prefix.append(acc)
-        inside.append(prefix)
-        start = end
-    return up, radii, inside
+        return [self.skeleton.edges[idx] for idx in _set_bits(self.residue, 0)]
 
 
 def build(cloud: PointCloud, scale) -> RipsSkeleton:

@@ -244,11 +244,12 @@ def test_criterion_6_invariant_suite():
         # every triangle's boundary of boundaries cancels over GF(2)
         for cloud, eps in _invariant_cases(131, cases, comp_case):
             skel = ec.build(cloud, eps)
+            ei = skel.edge_index
             for (i, j, k) in skel.triangles:
                 verts = (i, j, i, k, j, k)
                 assert all(verts.count(v) % 2 == 0 for v in set(verts))
-            for (e1, e2, e3) in skel.boundary2_columns():
-                ends = [v for e in (e1, e2, e3) for v in skel.edges[e]]
+                # column t of the triangle boundary, as edge indices
+                ends = [v for e in (ei[(i, j)], ei[(i, k)], ei[(j, k)]) for v in skel.edges[e]]
                 assert all(ends.count(v) % 2 == 0 for v in set(ends))
 
 

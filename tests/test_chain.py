@@ -156,6 +156,18 @@ def test_find_chain_identity():
     assert find_chain(cloud, 2, 2, 0.1).vertices == (2,)
 
 
+def test_find_chain_takes_numpy_integer_endpoints():
+    # rows of 40 and 200 bits: NumPy ints must work with small and with big-int rows
+    for n in (40, 200):
+        cloud = circle_cloud(n)
+        want = find_chain(cloud, 5, 8, 0.5)
+        for i, j in ((np.int64(5), 8), (5, np.int64(8)), (np.int32(5), np.int64(8))):
+            chain = find_chain(cloud, i, j, 0.5)
+            assert chain == want
+            assert all(type(v) is int for v in chain.vertices)
+    assert find_chain(circle_cloud(6), np.int64(2), 2, 0.1).vertices == (2,)
+
+
 def test_find_chain_absent_across_lines():
     cloud = parallel_lines_cloud(gap=1.0)
     labels = np.asarray(cloud.labels)

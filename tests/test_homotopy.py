@@ -96,6 +96,19 @@ def test_precondition_errors():
         are_homotopic(Chain(cloud, [0, 3], 1.01), Chain(cloud, [0, 3], 1.01))
 
 
+def test_budget_fields_are_positive_integers():
+    for field in ("max_chain_length", "max_states"):
+        with pytest.raises(ValueError, match="budget fields must be >= 1"):
+            SearchBudget(**{field: 0})
+        budget = SearchBudget(**{field: np.int64(7)})
+        assert type(getattr(budget, field)) is int
+    # a fractional cap is not a length or a state count
+    with pytest.raises(TypeError, match="max_states"):
+        SearchBudget(max_states=2.5)
+    with pytest.raises(TypeError, match="max_chain_length"):
+        SearchBudget(max_chain_length=1.5)
+
+
 def test_unknown_echoes_budget():
     cloud = circle_cloud(6)
     cw = Chain(cloud, [0, 1, 2, 3], 2.0)

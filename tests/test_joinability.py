@@ -11,6 +11,7 @@ from epschain import (Chain, PointCloud, RefinementFailure, ScaleFiltration,
                       texas_obstruction_report, texas_pair, texas_sample,
                       weakly_chained_probe)
 from epschain.chain import _hops_from
+from epschain.documents import dumps_doc
 from epschain.joinability import _locate_exact
 from epschain.space import _row_bits
 
@@ -350,6 +351,13 @@ def test_scan_is_the_single_sigma_probe():
 
     assert [key(r) for r in doc["pairs"]] == [key(r) for r in probe["pairs"]]
     assert [r["outcome"] for r in doc["pairs"]] == ["refuted", "passed", "refuted"]
+
+
+def test_scan_takes_numpy_integer_pairs():
+    cloud = parallel_lines_cloud(length=1.0)
+    want = dumps_doc(local_joinability_scan(cloud, 0.5, 0.2, 0.05, pairs=[(1, 2)]).to_doc())
+    got = local_joinability_scan(cloud, 0.5, 0.2, 0.05, pairs=[(np.int64(1), 2)]).to_doc()
+    assert dumps_doc(got) == want
 
 
 def test_greedy_decided_runs_build_no_skeleton():

@@ -6,6 +6,8 @@ The skeleton skips the columns its apex test proves zero, so the two must
 agree on every pivot, hence on every residue.
 """
 
+import hashlib
+import math
 import sys
 
 import numpy as np
@@ -105,6 +107,30 @@ def test_pivot_columns_are_stored_from_their_lowest_bit():
 
 def test_small_texas_sample():
     assert_same_pivots(texas_sample(h=0.1, m_end=4.0), 0.5)
+
+
+def test_coincident_points_make_zero_length_edges():
+    # repeated points put a group of edges at length 0, below every other
+    pts = [(0, 0), (0, 0), (0, 0), (1, 0), (1, 0), (0, 1), (1, 1), (1, 1)]
+    for eps in (0, 1, 1.5):
+        assert_same_pivots(PointCloud(points=pts), eps)
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        cells = rng.integers(0, 4, size=(8, 2))
+        cloud = PointCloud(points=np.vstack([cells, cells[rng.integers(0, 8, size=5)]]))
+        for eps in np.unique(cloud.distances())[:4]:
+            assert_same_pivots(cloud, float(eps))
+
+
+def test_refinement_sample_pivots_are_pinned():
+    # the texas report's refinement sample: every pivot, in insertion order
+    cloud = texas_sample(h=(1 / (5 * math.pi)) / 1.6, m_end=8.0, n=2)
+    digest = hashlib.sha256()
+    for low, col in build(cloud, 0.5)._triangle_pivots().items():
+        full = col << (low - col.bit_length() + 1)
+        digest.update(low.to_bytes(8, "little"))
+        digest.update(full.to_bytes((full.bit_length() + 7) // 8, "little"))
+    assert digest.hexdigest()[:16] == "b1a8624921c576d3"
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -83,7 +83,9 @@ def test_boundary_squares_to_zero():
     for _ in range(50):
         cloud = random_cloud(rng)
         skel = build(cloud, random_scale(rng, cloud))
-        for (e1, e2, e3) in skel.boundary2_columns():
+        ei = skel.edge_index
+        for (i, j, k) in skel.triangles:
+            e1, e2, e3 = ei[(i, j)], ei[(i, k)], ei[(j, k)]
             verts = []
             for e in (e1, e2, e3):
                 verts.extend(skel.edges[e])
