@@ -38,15 +38,16 @@ Move = Insert | Delete
 class Chain:
     """An ordered, nonempty vertex-index sequence with an asserted scale.
 
-    The constructor checks index bounds only; whether every hop actually
-    fits inside the entourage is reported by :meth:`is_valid`, so invalid
-    chains can be represented and then rejected.
+    The constructor checks only that each vertex is an integer index in
+    bounds (``operator.index``, so 1.7 and "1" raise TypeError); whether
+    every hop actually fits inside the entourage is reported by
+    :meth:`is_valid`, so invalid chains can be represented and then rejected.
     """
 
     __slots__ = ("cloud", "vertices", "scale")
 
     def __init__(self, cloud: PointCloud, vertices, scale):
-        verts = tuple(int(v) for v in vertices)
+        verts = tuple(map(operator.index, vertices))
         if not verts:
             raise ValueError("a chain needs at least one vertex")
         n = len(cloud)
@@ -279,17 +280,16 @@ def chain_to_doc(chain: Chain) -> dict:
 def chain_from_doc(doc: dict, cloud: PointCloud) -> Chain:
     if doc.get("space") not in ("", None) and cloud.name and doc["space"] != cloud.name:
         raise DocumentError(f"chain belongs to space {doc['space']!r}, not {cloud.name!r}")
-    # Chain() coerces with int(), which would truncate 1.7 and read "01" or false as
-    # vertices; bool is an int subclass, so it is excluded explicitly.
+    # Chain() takes any integer index, and bool is one: a document's false or
+    # true is not a vertex, so it is excluded explicitly.
     verts, eps = doc.get("vertices"), doc.get("epsilon")
-    if not (isinstance(verts, list)
-            and all(type(v) is not bool and isinstance(v, int) for v in verts)):
+    if not isinstance(verts, list) or any(type(v) is bool for v in verts):
         raise DocumentError(f"bad chain document: vertices {verts!r} are not a list of integers")
     if type(eps) is bool or not isinstance(eps, (int, float)):
         raise DocumentError(f"bad chain document: epsilon {eps!r} is not a number")
     try:
         return Chain(cloud, verts, Scale(eps))
-    except (ValueError, IndexError) as exc:
+    except (TypeError, ValueError, IndexError) as exc:
         raise DocumentError(f"bad chain document: {exc}") from exc
 
 

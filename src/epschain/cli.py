@@ -17,7 +17,7 @@ from . import joinability, space, svgfig
 from .chain import chain_from_doc, chain_to_doc, components, find_chain
 from .documents import SCHEMA_VERSION, DocumentError, dumps_doc, read_doc, write_doc
 from .homotopy import SearchBudget, are_homotopic, is_short
-from .space import SpaceSpec, generate, load_cloud, save_cloud
+from .space import generate, load_cloud, save_cloud
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -149,8 +149,7 @@ def _cmd_generate(args) -> int:
     must = list(args.must_include)
     if args.include_pair_at is not None:
         must.extend(space.texas_pair(args.include_pair_at))
-    spec = SpaceSpec(args.family, params, tuple(must), args.name or args.family)
-    cloud = generate(spec)
+    cloud = generate(args.family, params, must, args.name or args.family)
     text = save_cloud(cloud, args.out)
     if not args.out:
         sys.stdout.write(text)

@@ -4,9 +4,10 @@ Every document carries a ``schema_version`` and a ``kind`` field.  Emission is
 canonical (sorted keys, two-space indent, trailing newline) so that identical
 inputs produce byte-identical files: :func:`dumps_doc` writes exactly the
 bytes of ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline.  Any
-``indent`` sends ``json`` to its pure-Python encoder, so the emitter here is
-written out by hand; it follows ``json``'s type tests, including those for
-subclasses, and raises ``TypeError`` where ``json`` does.
+``indent`` sends ``json`` to its pure-Python encoder, so the containers and
+the scalars of exact built-in types are written out by hand; anything else
+(a scalar subclass, a foreign object) goes to ``json.dumps``, which gives the
+same text or raises the same ``TypeError``.
 """
 
 from __future__ import annotations
@@ -31,38 +32,18 @@ def _float_str(x: float) -> str:
     return _NONFINITE.get(text, text)
 
 
-def _bool_str(b: bool) -> str:
-    return "true" if b else "false"
-
-
-# scalars of exactly these types; subclasses take json's isinstance order
-_SCALARS = {str: _encode_str, int: int.__repr__, float: _float_str, bool: _bool_str,
-            type(None): lambda _: "null"}
-
-
-def _scalar(o):
-    """json's text for a scalar, or None when ``o`` is a container or foreign."""
-    if isinstance(o, str):
-        return _encode_str(o)
-    if o is None:
-        return "null"
-    if o is True or o is False:
-        return _bool_str(o)
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _float_str(o)
-    return None
+# scalars of exactly these types; a subclass falls through to json.dumps
+_SCALARS = {str: _encode_str, int: int.__repr__, float: _float_str,
+            bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
 
 
 def _key_str(key) -> str:
     if isinstance(key, str):
         return _encode_str(key)
-    text = _scalar(key)
-    if text is None:
-        raise TypeError(f"keys must be str, int, float, bool or None, "
-                        f"not {key.__class__.__name__}")
-    return _encode_str(text)
+    if key is None or isinstance(key, (int, float)):
+        return _encode_str(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
 
 
 def _emit(o, indent: str, out: list) -> None:
@@ -109,10 +90,7 @@ def _emit(o, indent: str, out: list) -> None:
             sep = "," + inner
         out.append(indent + "}")
         return
-    text = _scalar(o)
-    if text is None:
-        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-    out.append(text)
+    out.append(json.dumps(o))
 
 
 def dumps_doc(doc: dict) -> str:

@@ -26,8 +26,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import rips
-from .chain import (Chain, Delete, Insert, Move, collapse, _hops_from, _is_walk, _moved,
-                    _set_bits)
+from .chain import (Chain, Delete, Insert, Move, collapse, move_to_record, _hops_from,
+                    _is_walk, _moved, _set_bits)
 from .rips import CycleClass
 from .space import PointCloud
 
@@ -36,7 +36,7 @@ from .space import PointCloud
 class SearchBudget:
     """Caps for a homotopy search: raw chain length and stored states.
 
-    A field left as None takes its default per query (:func:`default_budget`).
+    A field left as None takes its default per query (:func:`are_homotopic`).
     """
 
     max_chain_length: int | None = None
@@ -59,16 +59,6 @@ class SearchBudget:
         """The fields that are set; a budget resolved for a query sets both."""
         rec = {"max_chain_length": self.max_chain_length, "max_states": self.max_states}
         return {k: v for k, v in rec.items() if v is not None}
-
-
-def default_budget(c1: Chain, c2: Chain, budget: SearchBudget | None = None) -> SearchBudget:
-    """The budget of a query on c1 and c2: each cap the given budget leaves
-    unset is 4 * max(len(c1), len(c2), 2) chain vertices or 10**6 states."""
-    length, states = (budget.max_chain_length, budget.max_states) if budget else (None, None)
-    if length is not None and states is not None:
-        return budget
-    return SearchBudget(4 * max(len(c1), len(c2), 2) if length is None else length,
-                        10 ** 6 if states is None else states)
 
 
 @dataclass(frozen=True)
@@ -96,8 +86,6 @@ class HomotopyVerdict:
         return self.outcome != "unknown"
 
     def to_record(self) -> dict:
-        from .chain import move_to_record
-
         rec = {"outcome": self.outcome, "states_explored": self.states_explored}
         if self.witness is not None:
             rec["witness"] = [move_to_record(m) for m in self.witness]
@@ -306,7 +294,10 @@ def are_homotopic(c1: Chain, c2: Chain, budget: SearchBudget | None = None) -> H
     bits = c1.cloud.entourage_bits(c1.scale)
     if not (_is_walk(c1.vertices, bits) and _is_walk(c2.vertices, bits)):
         raise ValueError("both chains must be valid at their scale")
-    budget = default_budget(c1, c2, budget)
+    # an unset cap is 4 * max(len(c1), len(c2), 2) chain vertices or 10**6 states
+    length, states = (budget.max_chain_length, budget.max_states) if budget else (None, None)
+    if length is None or states is None:
+        budget = SearchBudget(length or 4 * max(len(c1), len(c2), 2), states or 10 ** 6)
 
     v1, v2 = _raw_of(c1.vertices), _raw_of(c2.vertices)
     prefix, r1 = _collapse_deletes(v1)
@@ -377,28 +368,19 @@ def _bidir_search(s1, s2, bits, budget: SearchBudget):
                 break
     if meet is None:
         return None, states
-    end = tuple(memoryview(meet).cast(code))
-    fmoves = _moves_to(_decoded_path(fw, meet, code), end, bits, L)
-    bmoves = _moves_to(_decoded_path(bw, meet, code), end, bits, L)
+    fmoves = _path_moves(fw, meet, code, bits, L)
+    bmoves = _path_moves(bw, meet, code, bits, L)
     return fmoves + _invert_sequence(_raw_of(s2), bmoves), states
 
 
-def _decoded_path(parents: dict, end: bytes, code: str) -> dict:
-    """The parents from ``end`` back to the root, decoded to tuples."""
-    keys = [end]
+def _path_moves(parents: dict, key: bytes, code: str, bits, max_len) -> list[Move]:
+    """Raw moves along the search path from the root of ``parents`` to ``key``."""
+    keys = [key]
     while parents[keys[-1]] is not None:
         keys.append(parents[keys[-1]])
-    states = [tuple(memoryview(k).cast(code)) for k in keys]
-    return dict(zip(states, states[1:] + [None]))
-
-
-def _moves_to(parents: dict, end, bits, max_len) -> list[Move]:
-    """Raw moves along the search path from the root of ``parents`` to ``end``."""
-    moves: list[Move] = []
-    while parents[end] is not None:
-        moves[:0] = _step_moves(parents[end], end, bits, max_len)
-        end = parents[end]
-    return moves
+    path = [tuple(memoryview(k).cast(code)) for k in reversed(keys)]
+    return [m for state, child in zip(path, path[1:])
+            for m in _step_moves(state, child, bits, max_len)]
 
 
 def is_null(loop: Chain, budget: SearchBudget | None = None) -> HomotopyVerdict:

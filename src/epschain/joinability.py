@@ -289,7 +289,6 @@ class JoinabilityReport:
     parameters: dict
     pairs: tuple[PairOutcome, ...]
     kind: str = "joinability_report"
-    notes: tuple[str, ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -309,7 +308,7 @@ class JoinabilityReport:
             "parameters": dict(self.parameters),
             "summary": {**self.counts(), "all_passed": self.passed},
             "pairs": [p.to_record() for p in self.pairs],
-            "notes": list(self.notes),
+            "notes": [],
         }
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,6 +78,8 @@ class PointCloud:
             self.matrix = mat
             self._dist = mat
             n = len(mat)
+        if isinstance(labels, str) or isinstance(parts, str):
+            raise ValueError("labels and parts must be sequences of names, not a string")
         if labels is not None:
             labels = tuple(str(s) for s in labels)
             if len(labels) != n:
@@ -205,34 +207,6 @@ def _check_distance_matrix(mat: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 # Example-space samplers
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpaceSpec:
-    """Declarative recipe for a sampled space; ``generate`` turns it into a cloud.
-
-    ``params`` are keywords of the family's sampler function.
-    ``must_include`` coordinates are forced verbatim into the sample and
-    labeled by their nearest sampled part.  A keyword the sampler does not
-    take, or ``must_include`` for a family whose sampler cannot force points,
-    raises ValueError.
-    """
-
-    family: str
-    params: dict = field(default_factory=dict)
-    must_include: tuple = ()
-    name: str = ""
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        object.__setattr__(self, "must_include", tuple((float(x), float(y)) for x, y in self.must_include))
-        keywords = set(inspect.signature(_SAMPLERS[self.family]).parameters)
-        unknown = sorted(set(self.params) - (keywords - {"name", "must_include"}))
-        if self.must_include and "must_include" not in keywords:
-            unknown.append("must_include")
-        if unknown:
-            raise ValueError(f"family {self.family!r} takes no {', '.join(unknown)}")
-
 
 def crest_height(x):
     """Height of the oscillating curve used by the texas_circle family."""
@@ -369,14 +343,28 @@ _SAMPLERS = {"texas_circle": texas_circle_cloud, "circle": circle_cloud,
 FAMILIES = tuple(_SAMPLERS)
 
 
-def generate(spec: SpaceSpec) -> PointCloud:
-    """Build the cloud a SpaceSpec describes.  Deterministic per spec.
+def generate(family: str, params=None, must_include=(), name: str = "") -> PointCloud:
+    """Sample a family's space into a cloud.  Deterministic per arguments.
 
-    ``spec.params`` go straight to the family's sampler as keywords, so a
-    parameter left out takes that sampler's own default.
+    ``params`` go straight to the family's sampler as keywords, so a
+    parameter left out takes that sampler's own default.  ``must_include``
+    coordinates are forced verbatim into the sample and labeled by their
+    nearest sampled part.  An unknown family, a keyword the sampler does not
+    take, or ``must_include`` for a family whose sampler cannot force points
+    raises ValueError.
     """
-    inclusions = {"must_include": spec.must_include} if spec.must_include else {}
-    return _SAMPLERS[spec.family](**spec.params, **inclusions, name=spec.name or spec.family)
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    params = params or {}
+    must_include = tuple((float(x), float(y)) for x, y in must_include)
+    keywords = set(inspect.signature(_SAMPLERS[family]).parameters)
+    unknown = sorted(set(params) - (keywords - {"name", "must_include"}))
+    if must_include and "must_include" not in keywords:
+        unknown.append("must_include")
+    if unknown:
+        raise ValueError(f"family {family!r} takes no {', '.join(unknown)}")
+    inclusions = {"must_include": must_include} if must_include else {}
+    return _SAMPLERS[family](**params, **inclusions, name=name or family)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +392,7 @@ def cloud_from_doc(doc: dict) -> PointCloud:
         return PointCloud(points=doc.get("points"), matrix=doc.get("matrix"),
                           labels=doc.get("labels"), parts=doc.get("parts") or None,
                           name=doc.get("name", ""))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise DocumentError(str(exc)) from exc
 
 

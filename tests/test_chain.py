@@ -39,6 +39,13 @@ def test_constructor_errors():
         Chain(cloud, [], 0.5)
     with pytest.raises(IndexError):
         Chain(cloud, [0, 7], 0.5)
+    # vertices are indices: neither truncated nor parsed
+    circle = circle_cloud(12)
+    with pytest.raises(TypeError):
+        Chain(circle, [0, 1.7, 2], 1.0)
+    with pytest.raises(TypeError):
+        Chain(circle, ["0", "1"], 1.0)
+    assert Chain(circle, np.arange(3), 1.0).vertices == (0, 1, 2)
 
 
 def test_concat():

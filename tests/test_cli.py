@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from epschain import (Chain, SpaceSpec, chain_to_doc, circle_cloud, generate,
+from epschain import (Chain, chain_to_doc, circle_cloud, generate,
                       interval_cloud, load_cloud, parallel_lines_cloud, save_cloud,
                       texas_circle_cloud)
 from epschain.cli import run
@@ -264,6 +264,11 @@ def test_usage_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run(["components", "--space", str(bad), "--eps", "0.5"]) == 2
+    # cloud documents with a field of the wrong shape; "ab" is not two labels
+    for fields in ({"labels": 5}, {"parts": 5}, {"labels": "ab"}, {"points": {"a": 1}}):
+        write_doc({"schema_version": 1, "kind": "point_cloud", "name": "pair",
+                   "points": [[0.0, 0.0], [1.0, 0.0]], **fields}, bad)
+        assert run(["components", "--space", str(bad), "--eps", "0.5"]) == 2
     # chain documents that int() would misread: [0, 1.7, 2.2, 3] as [0, 1, 2, 3],
     # "01" at eps true as [0, 1] at 1.0, and [false, 3] as [0, 3]
     space, good = tmp_path / "circle.json", tmp_path / "good.json"
@@ -300,6 +305,13 @@ def test_usage_errors(tmp_path):
     (["scan", "--space", "{lines}", "--eps", "0.5", "--delta", "0.2", "--sigma", "0.05"],
      "916385673c5ebea0"),
     (["generate", "--family", "circle", "--n", "60"], "aa64bc067acd7dbf"),
+    (["generate", "--family", "circle"], "fa45db0d48ed7d73"),
+    (["generate", "--family", "texas_circle", "--include-pair-at", "2"], "ae66a8ceb0693ef6"),
+    (["generate", "--family", "parallel_lines"], "035d6683f23f5f3b"),
+    (["generate", "--family", "interval"], "aa58517559fc7e88"),
+    (["homotopy", "--space", "{hexagon}", "--c1", "{c1}", "--c2", "{c2}"], "4a6104079c888bf3"),
+    (["homotopy", "--space", "{hexagon}", "--c1", "{c1}", "--c2", "{c1}"], "97c80b366c1ffdc8"),
+    (["plot", "--space", "{circle}"], "9afea381d8eeb098"),
 ])
 def test_report_bytes_are_pinned(tmp_path, argv, digest):
     # sha256 prefixes of reports whose bytes must not change; the spaces are
@@ -336,7 +348,7 @@ def test_generate_defaults_are_the_samplers(tmp_path, family, sampler):
     assert run(["generate", "--family", family, "--out", str(out)]) == 0
     expected = sampler().points
     assert np.array_equal(load_cloud(out).points, expected)
-    assert np.array_equal(generate(SpaceSpec(family)).points, expected)
+    assert np.array_equal(generate(family).points, expected)
 
 
 def test_generated_parallel_lines_pass_the_scan(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from epschain import (PointCloud, Scale, SpaceSpec, circle_cloud, crest_height,
+from epschain import (PointCloud, Scale, circle_cloud, crest_height,
                       generate, interval_cloud, load_cloud, parallel_lines_cloud,
                       save_cloud, texas_pair, texas_sample)
 from epschain.documents import DocumentError
@@ -136,22 +136,21 @@ def test_must_include_verbatim():
 
 
 def test_generate_deterministic():
-    spec = SpaceSpec("texas_circle", {"h": 0.1, "m_end": 4.0},
-                     must_include=texas_pair(2))
-    a, b = generate(spec), generate(spec)
+    args = ("texas_circle", {"h": 0.1, "m_end": 4.0}, texas_pair(2))
+    a, b = generate(*args), generate(*args)
     assert np.array_equal(a.points, b.points)
     assert a.labels == b.labels
 
 
 def test_generate_validation():
     with pytest.raises(ValueError):
-        SpaceSpec("klein_bottle")
+        generate("klein_bottle")
     with pytest.raises(ValueError):
-        generate(SpaceSpec("texas_circle", {"h": -0.1}))
+        generate("texas_circle", {"h": -0.1})
     with pytest.raises(ValueError):
-        generate(SpaceSpec("texas_circle", {"m_end": 1.0}))
+        generate("texas_circle", {"m_end": 1.0})
     with pytest.raises(ValueError):
-        generate(SpaceSpec("parallel_lines", {"step": 0.0}))
+        generate("parallel_lines", {"step": 0.0})
 
 
 def test_scale_validation():
@@ -251,8 +250,8 @@ def test_entourage_symmetry_and_monotonicity():
 
 def test_spec_rejects_input_the_family_ignores():
     with pytest.raises(ValueError, match="'circle'"):
-        SpaceSpec("circle", must_include=texas_pair(2))
+        generate("circle", must_include=texas_pair(2))
     with pytest.raises(ValueError, match="'circle'"):
-        SpaceSpec("circle", {"h": 0.1})
+        generate("circle", {"h": 0.1})
     with pytest.raises(ValueError, match="'texas_circle'"):
-        SpaceSpec("texas_circle", {"n": 5})
+        generate("texas_circle", {"n": 5})
