@@ -206,6 +206,10 @@ def find_chain(cloud: PointCloud, i: int, j: int, scale, banned=()) -> Chain | N
 
     Ties are broken toward the lexicographically smallest vertex sequence.
     ``banned`` vertices (never i or j themselves) are treated as absent.
+    The hop counts come from a search out of j that stops once i is
+    labelled, and :func:`_walk_back` reads the chain off them.  A search out
+    of j that stops only once several vertices are labelled gives each of
+    them this same chain, which is how a scan serves all pairs ending at j.
     """
     i, j = operator.index(i), operator.index(j)
     n = len(cloud)
@@ -219,35 +223,51 @@ def find_chain(cloud: PointCloud, i: int, j: int, scale, banned=()) -> Chain | N
     for b in banned:
         if b != i and b != j:
             banned_mask |= 1 << int(b)
-    dist = _hops_from(bits, j, n, banned_mask, stop=i)
+    dist = _hops_from(bits, j, n, banned_mask, stops=(i,))
     if dist[i] < 0:
         return None
+    return Chain._trusted(cloud, _walk_back(bits, dist, i), scale)
+
+
+def _walk_back(bits: list[int], dist: list[int], i: int) -> tuple[int, ...]:
+    """The chain from i down the hop counts ``dist`` to their source (hop 0).
+
+    Each step takes the smallest neighbour one hop nearer, which gives the
+    lexicographically smallest shortest chain.  So the labels must be exact
+    below i's level, and exact or -1 elsewhere: banned and unreached
+    vertices read -1, which is never one hop nearer.
+    """
     verts = [i]
     cur = i
-    while cur != j:
-        m = bits[cur] & ~banned_mask & ~(1 << cur)
-        best = -1
+    while dist[cur]:
+        want = dist[cur] - 1
+        m = bits[cur]
         while m:
             w = (m & -m).bit_length() - 1
-            m &= m - 1
-            if dist[w] == dist[cur] - 1:
-                best = w
+            if dist[w] == want:
                 break  # bits iterate low to high, so the first hit is smallest
-        cur = best
+            m &= m - 1
+        cur = w
         verts.append(cur)
-    return Chain._trusted(cloud, tuple(verts), scale)
+    return tuple(verts)
 
 
 def _hops_from(bits: list[int], src: int, n: int, banned_mask: int = 0,
-               stop: int | None = None) -> list[int]:
+               stops=()) -> list[int]:
     """BFS hop counts from src over the bitset graph; -1 where unreachable.
 
-    With ``stop``, the search ends as soon as that vertex is labelled.  Every
-    vertex nearer to src than stop is labelled correctly by then; the others
-    may read -1.
+    With ``stops``, the search ends as soon as every one of them is labelled
+    (or the component is exhausted).  A breadth-first search labels a whole
+    level before the next, so by then every vertex nearer to src than the
+    farthest stop is labelled correctly; the others may read -1, and no
+    label is ever wrong.
     """
     dist = [-1] * n
     dist[src] = 0
+    pending = set(stops)
+    pending.discard(src)
+    if stops and not pending:
+        return dist
     queue = deque([src])
     while queue:
         u = queue.popleft()
@@ -257,8 +277,10 @@ def _hops_from(bits: list[int], src: int, n: int, banned_mask: int = 0,
             m &= m - 1
             if dist[w] < 0:
                 dist[w] = dist[u] + 1
-                if w == stop:
-                    return dist
+                if w in pending:
+                    pending.discard(w)
+                    if not pending:
+                        return dist
                 queue.append(w)
     return dist
 

@@ -19,6 +19,7 @@ contracted to a point end at that realization.
 
 from __future__ import annotations
 
+import functools
 import operator
 import struct
 import sys
@@ -297,7 +298,7 @@ def are_homotopic(c1: Chain, c2: Chain, budget: SearchBudget | None = None) -> H
     # an unset cap is 4 * max(len(c1), len(c2), 2) chain vertices or 10**6 states
     length, states = (budget.max_chain_length, budget.max_states) if budget else (None, None)
     if length is None or states is None:
-        budget = SearchBudget(length or 4 * max(len(c1), len(c2), 2), states or 10 ** 6)
+        budget = _resolved_budget(length or 4 * max(len(c1), len(c2), 2), states or 10 ** 6)
 
     v1, v2 = _raw_of(c1.vertices), _raw_of(c2.vertices)
     prefix, r1 = _collapse_deletes(v1)
@@ -333,6 +334,13 @@ def are_homotopic(c1: Chain, c2: Chain, budget: SearchBudget | None = None) -> H
     if mid is None:
         return HomotopyVerdict("unknown", budget=budget, states_explored=states)
     return done(mid, states)
+
+
+@functools.lru_cache(maxsize=64)
+def _resolved_budget(length: int, states: int) -> SearchBudget:
+    """The budget of a query whose caps are resolved to these ints; one per
+    distinct pair, as a scan's queries repeat a few chain lengths."""
+    return SearchBudget(length, states)
 
 
 def _bidir_search(s1, s2, bits, budget: SearchBudget):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain import Chain, Move, _hops_from, chain_to_doc, find_chain
+from .chain import Chain, Move, _hops_from, _walk_back, chain_to_doc, find_chain
 from .documents import SCHEMA_VERSION
 from .homotopy import HomotopyVerdict, SearchBudget, is_short, replay
 from .space import (PointCloud, Scale, as_scale, texas_circle_cloud, texas_pair,
@@ -83,25 +83,27 @@ class RefinementFailure(Exception):
             f"hop {hop_index} {endpoints}: {reason} (candidate verdicts: {tried})")
 
 
-def _short_candidates(cloud: PointCloud, u: int, w: int, fine: Scale, coarse: Scale,
+def _short_candidates(first: Chain | None, coarse: Scale,
                       budget: SearchBudget | None) -> list[tuple[Chain, HomotopyVerdict]]:
-    """Fine chains from u to w, each with its shortness verdict at the coarse scale.
+    """Fine chains between the ends of ``first``, each with its shortness
+    verdict at the coarse scale.
 
-    The shortest chain comes first, then vertex-disjoint alternatives, at most
-    MAX_ALTERNATIVES in all; the list ends at the first chain that is short.
+    ``first`` is the shortest fine chain, :func:`find_chain`'s, or None when
+    its ends are disconnected, which gives an empty list.  Vertex-disjoint
+    alternatives follow, at most MAX_ALTERNATIVES chains in all; the list
+    ends at the first chain that is short.
     """
     tried = []
     banned: set[int] = set()
-    for _ in range(MAX_ALTERNATIVES):
-        cand = find_chain(cloud, u, w, fine, banned=banned)
-        if cand is None:
-            break
+    cand = first
+    while cand is not None:
         verdict = is_short(cand.with_scale(coarse), budget)
         tried.append((cand, verdict))
         interior = cand.vertices[1:-1]
-        if verdict.is_homotopic or not interior:
+        if verdict.is_homotopic or not interior or len(tried) == MAX_ALTERNATIVES:
             break  # a direct hop leaves no interior to ban, so nothing new remains
         banned.update(interior)
+        cand = find_chain(first.cloud, *first.endpoints, first.scale, banned=banned)
     return tried
 
 
@@ -112,7 +114,7 @@ def _refine_with_witness(c: Chain, short_scale: Scale, fine_scale: Scale,
     refined = [v[0]]
     piece_witnesses: list[list[Move]] = []
     for hop, (u, w) in enumerate(zip(v, v[1:])):
-        tried = _short_candidates(c.cloud, u, w, fine_scale, short_scale, budget)
+        tried = _short_candidates(find_chain(c.cloud, u, w, fine_scale), short_scale, budget)
         if not tried or not tried[-1][1].is_homotopic:
             reason = "no fine chain joins the hop" if not tried else \
                 "no candidate fine chain is short at the coarse scale"
@@ -312,9 +314,9 @@ class JoinabilityReport:
         }
 
 
-def _short_chain_for_pair(cloud, i, j, dist: float, sigma: Scale, eps: Scale, budget,
+def _short_chain_for_pair(first: Chain | None, i, j, dist: float, eps: Scale, budget,
                           record_sigma: float | None) -> PairOutcome:
-    tried = _short_candidates(cloud, i, j, sigma, eps, budget)
+    tried = _short_candidates(first, eps, budget)
     if not tried:
         return PairOutcome(i, j, dist, "refuted", None,
                            ((None, "no_sigma_chain"),), record_sigma)
@@ -324,6 +326,29 @@ def _short_chain_for_pair(cloud, i, j, dist: float, sigma: Scale, eps: Scale, bu
         return PairOutcome(i, j, dist, "passed", last.vertices, records, record_sigma)
     outcome = "refuted" if all(v.is_not_homotopic for _, v in tried) else "unknown"
     return PairOutcome(i, j, dist, outcome, None, records, record_sigma)
+
+
+def _first_chains(cloud: PointCloud, scale: Scale, pairs) -> list[Chain | None]:
+    """``find_chain(cloud, i, j, scale)`` for each (i, j, distance) of pairs.
+
+    find_chain searches out of j until i is labelled, then walks back from
+    i.  Here one search out of each target j runs until every i paired with
+    j is labelled, and each walk back reads only the levels below its own
+    i, which that search has labelled in full, so each pair gets the chain
+    find_chain returns.
+    """
+    bits = cloud.entourage_bits(scale)
+    by_target: dict[int, list[int]] = {}
+    for k, (_, j, _) in enumerate(pairs):
+        by_target.setdefault(j, []).append(k)
+    out: list[Chain | None] = [None] * len(pairs)
+    for j, ks in by_target.items():
+        hops = _hops_from(bits, j, len(cloud), stops={pairs[k][0] for k in ks})
+        for k in ks:
+            i = pairs[k][0]
+            if hops[i] >= 0:
+                out[k] = Chain._trusted(cloud, _walk_back(bits, hops, i), scale)
+    return out
 
 
 def _delta_pairs(cloud: PointCloud, delta: float, seed: int):
@@ -367,8 +392,11 @@ def weakly_chained_probe(cloud: PointCloud, eps, delta, sigmas, pairs=None,
 
 def _probe(cloud, eps, delta, sigmas, pairs, budget, seed,
            single: bool) -> JoinabilityReport:
-    # a single-sigma probe is a scan: its report names the one sigma in its
-    # parameters instead of in every pair record
+    """Both scans' shared body.  Each (pair, sigma) starts from the chain
+    find_chain gives, taken from one multi-stop search per target
+    (:func:`_first_chains`).  A single-sigma probe is a scan: its report
+    names the one sigma in its parameters instead of in every pair record.
+    """
     eps, delta = as_scale(eps), as_scale(delta)
     sig = [as_scale(s) for s in sigmas]
     if not sig:
@@ -382,9 +410,11 @@ def _probe(cloud, eps, delta, sigmas, pairs, budget, seed,
     else:
         pairs = [(operator.index(i), operator.index(j)) for i, j in pairs]
         pairs, policy = [(i, j, cloud.distance(i, j)) for i, j in pairs], "given"
-    records = tuple(_short_chain_for_pair(cloud, i, j, dist, s, eps, budget,
+    firsts = [_first_chains(cloud, s, pairs) for s in sig]
+    records = tuple(_short_chain_for_pair(first[k], i, j, dist, eps, budget,
                                           None if single else s.epsilon)
-                    for i, j, dist in pairs for s in sig)
+                    for k, (i, j, dist) in enumerate(pairs)
+                    for s, first in zip(sig, firsts))
     params = {"eps": eps.epsilon, "delta": delta.epsilon, "seed": seed,
               "pair_policy": policy, "max_alternatives": MAX_ALTERNATIVES,
               "budget": None if budget is None else budget.to_record()}
@@ -459,7 +489,7 @@ def texas_dichotomy(cloud: PointCloud, n: int, mprime: int,
     idx = np.flatnonzero(keep)
     kept = PointCloud(points=cloud.points[idx])
     sx, sy = np.searchsorted(idx, (xi, yi)).tolist()
-    hops = _hops_from(kept.entourage_bits(sigma), sx, len(kept), stop=sy)
+    hops = _hops_from(kept.entourage_bits(sigma), sx, len(kept), stops=(sy,))
     return hops[sy] < 0
 
 

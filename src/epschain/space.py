@@ -57,7 +57,7 @@ class PointCloud:
         self.name = str(name)
         self._dist = None
         if points is not None:
-            pts = np.asarray(points, dtype=float)
+            pts = _real_array(points, "points")
             if pts.size == 0:
                 pts = pts.reshape(0, 2)
             if pts.ndim != 2 or pts.shape[1] != 2:
@@ -69,7 +69,7 @@ class PointCloud:
             self.matrix = None
             n = len(pts)
         else:
-            mat = np.asarray(matrix, dtype=float)
+            mat = _real_array(matrix, "matrix")
             if mat.size == 0:
                 mat = mat.reshape(0, 0)
             _check_distance_matrix(mat)
@@ -78,17 +78,15 @@ class PointCloud:
             self.matrix = mat
             self._dist = mat
             n = len(mat)
-        if isinstance(labels, str) or isinstance(parts, str):
-            raise ValueError("labels and parts must be sequences of names, not a string")
         if labels is not None:
-            labels = tuple(str(s) for s in labels)
+            labels = _names(labels, "labels")
             if len(labels) != n:
                 raise ValueError(f"{len(labels)} labels for {n} points")
         self.labels = labels
         if parts is None:
             parts = tuple(sorted(set(labels))) if labels else ()
         else:
-            parts = tuple(str(s) for s in parts)
+            parts = _names(parts, "parts")
         if labels is not None:
             bad = set(labels) - set(parts)
             if bad:
@@ -160,6 +158,25 @@ class PointCloud:
             bits = [_row_bits(row) for row in close]
             self._bits_cache[eps] = bits
         return bits
+
+
+def _real_array(values, what: str) -> np.ndarray:
+    """``values`` as a float array.  Converting with ``dtype=float`` would
+    parse strings and booleans, so the values' own kind must be a number's."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        raise TypeError(f"{what} must be integers or floats, not {arr.dtype.name}")
+    return np.asarray(arr, dtype=float)
+
+
+def _names(values, what: str) -> tuple[str, ...]:
+    if isinstance(values, str):
+        raise ValueError(f"{what} must be a sequence of names, not a string")
+    names = tuple(values)
+    bad = [s for s in names if not isinstance(s, str)]
+    if bad:
+        raise TypeError(f"{what} must be strings, not {bad[0]!r}")
+    return tuple(map(str, names))
 
 
 _DIST_ROWS = 64  # rows of the distance matrix computed per step

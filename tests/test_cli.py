@@ -264,10 +264,18 @@ def test_usage_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run(["components", "--space", str(bad), "--eps", "0.5"]) == 2
-    # cloud documents with a field of the wrong shape; "ab" is not two labels
-    for fields in ({"labels": 5}, {"parts": 5}, {"labels": "ab"}, {"points": {"a": 1}}):
+    # cloud documents with a field of the wrong shape or type; "ab" is not two
+    # labels, and strings or booleans are not coordinates or distances
+    for fields in ({"labels": 5}, {"parts": 5}, {"labels": "ab"}, {"points": {"a": 1}},
+                   {"points": [["0", "0"], ["1", "0"]]},
+                   {"points": [[True, False], [False, False]]},
+                   {"labels": [1, 2]}, {"labels": ["a", "b"], "parts": [1, "a", "b"]}):
         write_doc({"schema_version": 1, "kind": "point_cloud", "name": "pair",
                    "points": [[0.0, 0.0], [1.0, 0.0]], **fields}, bad)
+        assert run(["components", "--space", str(bad), "--eps", "0.5"]) == 2
+    for matrix in ([["0", "1"], ["1", "0"]], [[False, True], [True, False]]):
+        write_doc({"schema_version": 1, "kind": "point_cloud", "name": "pair",
+                   "matrix": matrix}, bad)
         assert run(["components", "--space", str(bad), "--eps", "0.5"]) == 2
     # chain documents that int() would misread: [0, 1.7, 2.2, 3] as [0, 1, 2, 3],
     # "01" at eps true as [0, 1] at 1.0, and [false, 3] as [0, 3]

@@ -1,11 +1,15 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epschain import (Chain, PointCloud, RefinementFailure, ScaleFiltration,
-                      build_generalized_path, circle_cloud, crest_gap_check,
-                      interval_cloud, is_short, local_joinability_scan,
+                      SearchBudget, build_generalized_path, circle_cloud,
+                      crest_gap_check, find_chain, homotopy, interval_cloud,
+                      is_short, local_joinability_scan,
                       parallel_lines_cloud, refine_chain, replay,
                       texas_crest_loop, texas_dichotomy,
                       texas_obstruction_report, texas_pair, texas_sample,
@@ -369,3 +373,89 @@ def test_greedy_decided_runs_build_no_skeleton():
     lines = parallel_lines_cloud(length=5)
     assert local_joinability_scan(lines, 0.5, 0.2, 0.05).passed
     assert lines._rips_cache == {}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_probe_first_candidates_are_find_chains(data):
+    # two clusters on a 0.15 grid, more than every sigma apart; eps covers
+    # the whole cloud, so every given pair may be checked for shortness
+    spot = st.tuples(st.integers(0, 6), st.integers(0, 6))
+    left = data.draw(st.lists(spot, min_size=2, max_size=12, unique=True))
+    right = data.draw(st.lists(spot, min_size=1, max_size=6, unique=True))
+    pts = [(0.15 * x, 0.15 * y) for x, y in left] + \
+          [(2.0 + 0.15 * x, 0.15 * y) for x, y in right]
+    cloud = PointCloud(points=pts)
+    n = len(pts)
+    index = st.integers(0, n - 1)
+    drawn = data.draw(st.lists(st.tuples(index, index), max_size=16))
+    # i == j, i > j, a repeated pair, and a pair split across the clusters
+    pairs = drawn + [(0, 0), (1, 0), (0, 1), (0, 1), (0, len(left))]
+    sigmas = [0.35, 0.22, 0.16]
+    report = weakly_chained_probe(cloud, 10.0, 5.0, sigmas, pairs=pairs)
+    records = iter(report.pairs)
+    for i, j in pairs:
+        for s in sigmas:
+            rec = next(records)
+            assert (rec.i, rec.j, rec.sigma) == (i, j, s)
+            want = find_chain(cloud, i, j, s)
+            if want is None:
+                assert rec.candidates == ((None, "no_sigma_chain"),)
+            else:
+                assert rec.candidates[0][0] == want.vertices
+    assert next(records, None) is None
+
+
+def test_hops_from_with_several_stops_agrees_below_the_farthest():
+    rng = np.random.default_rng(31)
+    cloud = texas_sample(h=0.1, m_end=4.0)
+    n = len(cloud)
+    for eps in (0.15, 0.3):
+        bits = cloud.entourage_bits(eps)
+        for _ in range(40):
+            src = int(rng.integers(n))
+            stops = {int(v) for v in rng.integers(n, size=int(rng.integers(1, 6)))}
+            full = _hops_from(bits, src, n)
+            part = _hops_from(bits, src, n, stops=stops)
+            if any(full[s] < 0 for s in stops):
+                assert part == full  # the search ran out of its component
+                continue
+            farthest = max(full[s] for s in stops)
+            for v in range(n):
+                if full[v] < farthest or v in stops:
+                    assert part[v] == full[v]
+                else:
+                    assert part[v] in (-1, full[v])
+
+
+def test_probe_report_bytes_are_pinned():
+    # a two-sigma probe whose records include refuted pairs, pairs with
+    # alternatives and pairs with no sigma-chain; the digest was taken with
+    # one find_chain search per (pair, sigma)
+    report = weakly_chained_probe(texas_sample(n=2, h=0.1, m_end=4.0), 0.5, 0.2,
+                                  [0.15, 0.12])
+    assert report.counts() == {"passed": 494, "refuted": 76, "unknown": 0}
+    candidates = [p.candidates for p in report.pairs]
+    assert ((None, "no_sigma_chain"),) in candidates
+    assert any(len(c) > 1 for c in candidates)
+    digest = hashlib.sha256(dumps_doc(report.to_doc()).encode()).hexdigest()[:16]
+    assert digest == "3c69b650bac3df09"
+
+
+def test_a_scan_builds_one_budget_per_chain_length(monkeypatch):
+    # a query without a full budget resolves its caps to ints and reuses the
+    # budget of the same caps, instead of building and checking a new one
+    built = []
+    check = SearchBudget.__post_init__
+
+    def counted(budget):
+        built.append((budget.max_chain_length, budget.max_states))
+        check(budget)
+
+    monkeypatch.setattr(SearchBudget, "__post_init__", counted)
+    homotopy._resolved_budget.cache_clear()
+    report = local_joinability_scan(parallel_lines_cloud(length=2), 0.5, 0.2, 0.05)
+    lengths = {max(len(vs), 2) for p in report.pairs for vs, _ in p.candidates}
+    assert len(report.pairs) == 458
+    assert 1 <= len(built) <= len(lengths)
+    assert len(set(built)) == len(built)

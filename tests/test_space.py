@@ -236,6 +236,33 @@ def test_label_part_invariant():
         PointCloud(points=[(0.0, 0.0)], labels=["left"], parts=("right",))
 
 
+def test_coordinates_distances_and_names_must_have_their_types():
+    # converting with dtype=float would read "1" as 1.0 and True as 1.0, and
+    # str() would read the label 1 as "1"
+    for points in ([["0", "0"], ["1", "0"]], [[True, False], [False, False]],
+                   [[None, 0.0], [1.0, 0.0]]):
+        with pytest.raises(TypeError):
+            PointCloud(points=points)
+    for matrix in ([["0", "1"], ["1", "0"]], [[False, True], [True, False]]):
+        with pytest.raises(TypeError):
+            PointCloud(matrix=matrix)
+    pair = [[0.0, 0.0], [1.0, 0.0]]
+    with pytest.raises(TypeError):
+        PointCloud(points=pair, labels=[1, 2])
+    with pytest.raises(TypeError):
+        PointCloud(points=pair, labels=["a", "b"], parts=["a", "b", 3])
+    for points in ([[0, 0], [1, 0]], np.array([[0, 0], [1, 0]], dtype=np.int32),
+                   np.array(pair, dtype=np.float32)):
+        cloud = PointCloud(points=points, labels=np.array(["a", "b"]))
+        assert cloud.points.dtype == np.float64
+        assert cloud.points.tolist() == pair
+        assert cloud.labels == ("a", "b") and type(cloud.labels[0]) is str
+    assert PointCloud(matrix=[[0, 1], [1, 0]]).distance(0, 1) == 1.0
+    with pytest.raises(DocumentError):
+        load_cloud('{"schema_version": 1, "kind": "point_cloud", '
+                   '"points": [[true, false], [false, false]]}')
+
+
 def test_entourage_symmetry_and_monotonicity():
     rng = np.random.default_rng(7)
     for _ in range(300):
