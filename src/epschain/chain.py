@@ -220,9 +220,9 @@ def find_chain(cloud: PointCloud, i: int, j: int, scale, banned=()) -> Chain | N
         return Chain._trusted(cloud, (i,), scale)
     bits = cloud.entourage_bits(scale)
     banned_mask = 0
-    for b in banned:
+    for b in map(operator.index, banned):
         if b != i and b != j:
-            banned_mask |= 1 << int(b)
+            banned_mask |= 1 << b
     dist = _hops_from(bits, j, n, banned_mask, stops=(i,))
     if dist[i] < 0:
         return None

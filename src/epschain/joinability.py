@@ -45,11 +45,9 @@ class ScaleFiltration:
     scales: tuple[float, ...]
 
     def __post_init__(self):
-        eps = tuple(float(e) for e in self.scales)
+        eps = tuple(Scale(e).epsilon for e in self.scales)
         if len(eps) < 2:
             raise ValueError("a filtration needs at least two scales")
-        if not all(math.isfinite(e) for e in eps):
-            raise ValueError(f"all scales must be finite, got {eps}")
         if any(e <= 0 for e in eps):
             raise ValueError("all scales must be positive")
         if any(a <= b for a, b in zip(eps, eps[1:])):
@@ -61,12 +59,6 @@ class ScaleFiltration:
 
     def __getitem__(self, k: int) -> float:
         return self.scales[k]
-
-
-def as_filtration(value) -> ScaleFiltration:
-    if isinstance(value, ScaleFiltration):
-        return value
-    return ScaleFiltration(tuple(float(e) for e in value))
 
 
 class RefinementFailure(Exception):
@@ -217,7 +209,8 @@ def build_generalized_path(cloud: PointCloud, x: int, y: int, filtration,
     finer (clamped at the last scale), certified short at scale i.  Any
     failure is recorded with its level and returned, not raised.
     """
-    filtration = as_filtration(filtration)
+    if not isinstance(filtration, ScaleFiltration):
+        filtration = ScaleFiltration(filtration)
     eps = filtration.scales
     k = len(eps)
     if find_chain(cloud, x, y, eps[0]) is None:

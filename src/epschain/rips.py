@@ -7,14 +7,11 @@ a loop is a sound certificate that the loop does not bound, and elementary
 chain moves never change the class.  A zero class proves nothing and the
 engine treats it as inconclusive.
 
-Columns of the triangle boundary matrix are Python integers used as bit
-vectors over the fixed (lexicographic) edge ordering; one column-echelon
-reduction per skeleton is cached, after which every class query is a short
-sequence of XORs.  A pivot column is stored from its lowest set bit: the
-entry for pivot ``low`` is ``col >> off``, where ``off``, the column's
-lowest edge index, is ``low - stored.bit_length() + 1`` and is not kept.
-So a column takes as many bits as the span of its edge indices, which is
-short on geometric samples, rather than as many as its highest index.
+Columns of the triangle boundary matrix are sets of indices into the fixed
+(lexicographic) edge ordering, and a cycle is a Python integer used as a bit
+vector over it; one column-echelon reduction per skeleton is cached, after
+which every class query is a short sequence of XORs.  A pivot holds its
+column's nonzeros below its key, so it costs their count, not its span.
 
 The reduction takes columns in (diameter, lexicographic) order and never
 builds one it can prove zero.  Each triangle t is owned by its longest
@@ -124,42 +121,37 @@ class RipsSkeleton:
         cols.sort()
         return cols
 
-    def _triangle_pivots(self) -> dict[int, int]:
-        """Column-echelon pivots of the triangle boundary, keyed by low bit.
+    def _triangle_pivots(self) -> dict[int, tuple[int, ...]]:
+        """Column-echelon pivots of the triangle boundary, keyed by highest edge.
 
-        Each column is stored from its lowest set bit (module docstring).
-        Columns are processed in diameter order (then lexicographic), which
-        keeps the reduction near-linear on geometric samples and makes the
-        pivot set, hence every reduced residue, deterministic.  Columns that
-        the apex test of the module docstring proves zero are never built.
+        The pivot keyed ``low`` is the tuple of its column's other edge
+        indices, in no particular order.  Columns are processed in diameter
+        order (then lexicographic), which keeps the reduction near-linear on
+        geometric samples and makes the pivot set, hence every reduced
+        residue, deterministic.  Columns that the apex test of the module
+        docstring proves zero are never built.
         """
         if self._pivots is None:
             ei = self.edge_index
-            pivots: dict[int, int] = {}
+            pivots: dict[int, tuple[int, ...]] = {}
             for (_, i, j, k) in self._columns():
-                # edges (i, j) < (i, k) < (j, k): the column's lowest bit is (i, j)
-                off = ei[(i, j)]
-                col = 1 | 1 << (ei[(i, k)] - off) | 1 << (ei[(j, k)] - off)
-                while True:
-                    low = off + col.bit_length() - 1
+                # edges (i, j) < (i, k) < (j, k): the column's highest is (j, k)
+                low = ei[(j, k)]
+                p = pivots.get(low)
+                if p is None:
+                    pivots[low] = (ei[(i, j)], ei[(i, k)])
+                    continue
+                # both columns hold low, so their sum drops it: neither stores it
+                col = {ei[(i, j)], ei[(i, k)]}
+                col.symmetric_difference_update(p)
+                while col:
+                    low = max(col)
+                    col.discard(low)
                     p = pivots.get(low)
                     if p is None:
-                        pivots[low] = col
+                        pivots[low] = tuple(col)
                         break
-                    shift = low - p.bit_length() + 1 - off  # p's offset past col's
-                    if shift > 0:
-                        col ^= p << shift
-                    elif shift < 0:
-                        col = col << -shift ^ p
-                        off += shift
-                    else:
-                        # only equal offsets clear the lowest bit
-                        col ^= p
-                        if not col:
-                            break
-                        zeros = (col & -col).bit_length() - 1
-                        col >>= zeros
-                        off += zeros
+                    col.symmetric_difference_update(p)
             self._pivots = pivots
         return self._pivots
 
@@ -172,7 +164,9 @@ class RipsSkeleton:
             p = pivots.get(low)
             if p is None:
                 break
-            v ^= p << (low - p.bit_length() + 1)
+            v ^= 1 << low
+            for e in p:
+                v ^= 1 << e
         return v
 
     def path_vector(self, chain: Chain) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,9 @@ class Scale:
     epsilon: float
 
     def __post_init__(self):
+        # float() would also read a string or a boolean
+        if isinstance(self.epsilon, (str, bytes, bool, np.bool_)):
+            raise TypeError(f"epsilon must be a number, not {self.epsilon!r}")
         eps = float(self.epsilon)
         if not math.isfinite(eps) or eps < 0:
             raise ValueError(f"epsilon must be a finite nonnegative real, got {self.epsilon}")
@@ -40,7 +44,7 @@ class Scale:
 
 def as_scale(value) -> Scale:
     """Coerce a number to a Scale; Scales pass through unchanged."""
-    return value if isinstance(value, Scale) else Scale(float(value))
+    return value if isinstance(value, Scale) else Scale(value)
 
 
 class PointCloud:
@@ -162,10 +166,16 @@ class PointCloud:
 
 def _real_array(values, what: str) -> np.ndarray:
     """``values`` as a float array.  Converting with ``dtype=float`` would
-    parse strings and booleans, so the values' own kind must be a number's."""
+    parse strings and booleans, so the values' own kind must be a number's,
+    and a list's elements' too, as NumPy gives ``[True, 1.5]`` a float kind."""
     arr = np.asarray(values)
     if arr.dtype.kind not in "iuf":
         raise TypeError(f"{what} must be integers or floats, not {arr.dtype.name}")
+    if not isinstance(values, np.ndarray):
+        # neither boolean type can be subclassed, so exact types suffice
+        types = set(map(type, np.asarray(values, dtype=object).flat))
+        if bool in types or np.bool_ in types:
+            raise TypeError(f"{what} must be integers or floats, not booleans")
     return np.asarray(arr, dtype=float)
 
 
@@ -265,7 +275,7 @@ def texas_circle_cloud(h=0.05, h_segment=None, m_end=8.0, must_include=(), name=
 
 def circle_cloud(n=360, name="circle"):
     """n equally spaced points on the unit circle."""
-    n = int(n)
+    n = operator.index(n)
     if n < 1:
         raise ValueError("need at least one point")
     t = 2 * np.pi * np.arange(n) / n
@@ -341,6 +351,7 @@ def _assemble(pts, labels, parts, must_include, name) -> PointCloud:
 
 def texas_pair(n: int) -> tuple[tuple[float, float], tuple[float, float]]:
     """The curve/axis point pair at x = n*pi, at vertical distance 1/(n*pi)."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"the curve/axis pair at x = n*pi needs n >= 1, got {n}")
     x = n * math.pi

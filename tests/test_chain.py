@@ -46,6 +46,10 @@ def test_constructor_errors():
     with pytest.raises(TypeError):
         Chain(circle, ["0", "1"], 1.0)
     assert Chain(circle, np.arange(3), 1.0).vertices == (0, 1, 2)
+    # and so are banned vertices: int() would ban vertex 1 for 1.7
+    with pytest.raises(TypeError):
+        find_chain(circle, 0, 3, 1.0, banned=[1.7])
+    assert find_chain(circle, 0, 2, 0.6, banned=[np.int64(1)]).vertices == (0, *range(11, 1, -1))
 
 
 def test_concat():

@@ -269,11 +269,13 @@ def test_usage_errors(tmp_path):
     for fields in ({"labels": 5}, {"parts": 5}, {"labels": "ab"}, {"points": {"a": 1}},
                    {"points": [["0", "0"], ["1", "0"]]},
                    {"points": [[True, False], [False, False]]},
+                   {"points": [[True, 1.5], [0, 0]]},
                    {"labels": [1, 2]}, {"labels": ["a", "b"], "parts": [1, "a", "b"]}):
         write_doc({"schema_version": 1, "kind": "point_cloud", "name": "pair",
                    "points": [[0.0, 0.0], [1.0, 0.0]], **fields}, bad)
         assert run(["components", "--space", str(bad), "--eps", "0.5"]) == 2
-    for matrix in ([["0", "1"], ["1", "0"]], [[False, True], [True, False]]):
+    for matrix in ([["0", "1"], ["1", "0"]], [[False, True], [True, False]],
+                   [[0, True], [1, 0]]):
         write_doc({"schema_version": 1, "kind": "point_cloud", "name": "pair",
                    "matrix": matrix}, bad)
         assert run(["components", "--space", str(bad), "--eps", "0.5"]) == 2

@@ -43,6 +43,11 @@ def test_filtration_validation():
     for scales in ((math.nan, 0.1), (math.inf, 0.5), (0.5, math.nan)):
         with pytest.raises(ValueError, match="finite"):
             ScaleFiltration(scales)
+    # float() would read "0.5" as 0.5 and True as 1.0
+    for scales in (("0.5", 0.1), (True, 0.5), (0.5, np.bool_(True))):
+        with pytest.raises(TypeError):
+            ScaleFiltration(scales)
+    assert ScaleFiltration((np.int64(1), np.float32(0.5))).scales == (1.0, 0.5)
 
 
 def test_refine_single_hop_on_segment():

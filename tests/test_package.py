@@ -1,5 +1,9 @@
-"""The package's public names, and the attributes the benchmark's tracer patches."""
+"""The package's public names, the attributes the benchmark's tracer patches,
+and the benchmark's own checkers."""
 
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import epschain
@@ -24,3 +28,14 @@ def test_public_names_and_traced_attributes_exist(monkeypatch):
     finally:
         tracer.uninstall()
     assert epschain.are_homotopic is before
+
+
+def test_benchmark_checkers_reject_every_corruption():
+    # bench/selftest.py checks one pass of each workload, then corrupts its
+    # outputs one at a time; the texas-report and circle-gp checks compute
+    # betti1() with this package, so they also check its reduction
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "bench/selftest.py"], cwd=root,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert re.fullmatch(r"(\d+) of \1 corruptions rejected", proc.stdout.splitlines()[-1])

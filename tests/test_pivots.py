@@ -41,8 +41,8 @@ def reference_pivots(cloud, eps) -> dict[int, int]:
 
 
 def assert_same_pivots(cloud, eps):
-    # the skeleton stores each column from its lowest set bit
-    got = {low: p << (low - p.bit_length() + 1)
+    # the skeleton stores a column as its edges other than its key
+    got = {low: sum(1 << e for e in (low, *p))
            for low, p in build(cloud, eps)._triangle_pivots().items()}
     want = reference_pivots(cloud, eps)
     assert list(got.items()) == list(want.items())
@@ -127,10 +127,17 @@ def test_refinement_sample_pivots_are_pinned():
     cloud = texas_sample(h=(1 / (5 * math.pi)) / 1.6, m_end=8.0, n=2)
     digest = hashlib.sha256()
     for low, col in build(cloud, 0.5)._triangle_pivots().items():
-        full = col << (low - col.bit_length() + 1)
+        full = sum(1 << e for e in (low, *col))
         digest.update(low.to_bytes(8, "little"))
         digest.update(full.to_bytes((full.bit_length() + 7) // 8, "little"))
     assert digest.hexdigest()[:16] == "b1a8624921c576d3"
+
+
+def test_refinement_sample_pivots_cost_their_nonzeros():
+    # its pivots hold about three edges each, but span hundreds of edges
+    cloud = texas_sample(h=(1 / (5 * math.pi)) / 1.6, m_end=8.0, n=2)
+    pivots = build(cloud, 0.5)._triangle_pivots()
+    assert sum(map(sys.getsizeof, pivots.values())) <= 64 * len(pivots)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

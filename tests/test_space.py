@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from epschain import (PointCloud, Scale, circle_cloud, crest_height,
-                      generate, interval_cloud, load_cloud, parallel_lines_cloud,
-                      save_cloud, texas_pair, texas_sample)
+from epschain import (Chain, PointCloud, Scale, as_scale, build, circle_cloud,
+                      crest_height, generate, interval_cloud, load_cloud,
+                      parallel_lines_cloud, save_cloud, texas_pair, texas_sample)
 from epschain.documents import DocumentError
 from epschain.space import _DIST_ROWS
 from util import random_cloud, random_scale
@@ -151,6 +151,13 @@ def test_generate_validation():
         generate("texas_circle", {"m_end": 1.0})
     with pytest.raises(ValueError):
         generate("parallel_lines", {"step": 0.0})
+    # int() would truncate 2.7 to a 2-point circle, and 2.5*pi is no crest pair
+    with pytest.raises(TypeError):
+        circle_cloud(2.7)
+    with pytest.raises(TypeError):
+        texas_pair(2.5)
+    assert len(circle_cloud(np.int64(5))) == 5
+    assert texas_pair(np.int32(2)) == texas_pair(2)
 
 
 def test_scale_validation():
@@ -159,6 +166,20 @@ def test_scale_validation():
     with pytest.raises(ValueError):
         Scale(float("nan"))
     assert Scale(0.0).epsilon == 0.0
+    # float() would read "0.5" as 0.5 and True as 1.0
+    cloud = circle_cloud(6)
+    for eps in ("0.5", True, np.bool_(True)):
+        with pytest.raises(TypeError):
+            Scale(eps)
+        with pytest.raises(TypeError):
+            as_scale(eps)
+    with pytest.raises(TypeError):
+        build(cloud, "1.1")
+    with pytest.raises(TypeError):
+        Chain(cloud, [0, 1], "1.5")
+    for eps in (np.float32(0.5), np.int64(1)):
+        assert as_scale(eps).epsilon == float(eps)
+        assert type(Scale(eps).epsilon) is float
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -238,12 +259,15 @@ def test_label_part_invariant():
 
 def test_coordinates_distances_and_names_must_have_their_types():
     # converting with dtype=float would read "1" as 1.0 and True as 1.0, and
-    # str() would read the label 1 as "1"
+    # str() would read the label 1 as "1"; a row that mixes booleans with
+    # numbers makes a float array, so only its elements show the booleans
     for points in ([["0", "0"], ["1", "0"]], [[True, False], [False, False]],
-                   [[None, 0.0], [1.0, 0.0]]):
+                   [[None, 0.0], [1.0, 0.0]], [[True, 1.5], [0, 0]],
+                   [np.array([0.5, 1.5]), np.array([np.True_, np.False_])]):
         with pytest.raises(TypeError):
             PointCloud(points=points)
-    for matrix in ([["0", "1"], ["1", "0"]], [[False, True], [True, False]]):
+    for matrix in ([["0", "1"], ["1", "0"]], [[False, True], [True, False]],
+                   [[0, True], [1, 0]]):
         with pytest.raises(TypeError):
             PointCloud(matrix=matrix)
     pair = [[0.0, 0.0], [1.0, 0.0]]
