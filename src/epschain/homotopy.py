@@ -406,7 +406,7 @@ def is_short(c: Chain, budget: SearchBudget | None = None) -> HomotopyVerdict:
     the two-point chain does not exist and this raises instead of answering.
     """
     x, y = c.endpoints
-    if c.cloud.distance(x, y) > c.scale.epsilon:
+    if not c.cloud.entourage_bits(c.scale)[x] >> y & 1:
         raise ValueError(f"endpoints {x}, {y} are farther apart than eps="
                          f"{c.scale.epsilon}; the chain [x, y] does not exist")
     return are_homotopic(c, Chain._trusted(c.cloud, (x, y), c.scale), budget)

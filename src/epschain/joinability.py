@@ -226,7 +226,7 @@ def build_generalized_path(cloud: PointCloud, x: int, y: int, filtration,
                        ConstructionFailure("no_chain", 1,
                                            f"no chain at level scale eps={eps[1]}"))
     shortness = None
-    if cloud.distance(x, y) <= eps[0]:
+    if cloud.entourage_bits(eps[0])[x] >> y & 1:
         shortness = is_short(c1.with_scale(eps[0]), budget)
         if not shortness.is_homotopic:
             return partial((c1,), (), shortness,
@@ -346,9 +346,9 @@ def _first_chains(cloud: PointCloud, scale: Scale, pairs) -> list[Chain | None]:
 
 def _delta_pairs(cloud: PointCloud, delta: float, seed: int):
     """The (i, j, distance) triples of the delta-close pairs i < j, and their policy."""
-    d = cloud.distances()
-    iu, ju = np.nonzero(np.triu(d <= delta, 1))
-    pairs = list(zip(iu.tolist(), ju.tolist(), d[iu, ju].tolist()))
+    i, j, d = cloud.close_pairs(delta)
+    order = np.lexsort((j, i))
+    pairs = list(zip(i[order].tolist(), j[order].tolist(), d[order].tolist()))
     policy = "all"
     if len(cloud) > PAIR_THRESHOLD and len(pairs) > SAMPLE_CAP:
         rng = np.random.default_rng(seed)
@@ -398,6 +398,9 @@ def _probe(cloud, eps, delta, sigmas, pairs, budget, seed,
         raise ValueError("fine scales must strictly decrease")
     if not sig[0].epsilon < delta.epsilon <= eps.epsilon:
         raise ValueError("need sigma < delta <= eps")
+    # eps is the largest scale read here (by every shortness test), so its
+    # pair list, built first, is the one list that delta and sigma read too
+    cloud.close_pairs(eps)
     if pairs is None:
         pairs, policy = _delta_pairs(cloud, delta.epsilon, seed)
     else:
@@ -446,10 +449,11 @@ def crest_gap_check(cloud: PointCloud, eps=0.5,
     ai = np.nonzero(in_win & (labels == "axis"))[0]
     if len(gi) == 0 or len(ai) == 0:
         return True
-    # the window's own cloud gives the same distance floats as the whole one
+    # the window's own cloud gives the same distance floats as the whole one;
+    # its curve points come first, so a curve-to-axis pair is i < len(gi) <= j
     window_cloud = PointCloud(points=pts[np.concatenate((gi, ai))])
-    cross = window_cloud.distances()[:len(gi), len(gi):]
-    return not bool((cross <= eps).any())
+    i, j, _ = window_cloud.close_pairs(eps)
+    return not bool(np.any((i < len(gi)) & (j >= len(gi))))
 
 
 def texas_dichotomy(cloud: PointCloud, n: int, mprime: int,

@@ -33,25 +33,28 @@ than D to both of its ends is such an apex for every owned c above it and
 strictly nearer than D to it, so those c are dropped as one set before the
 rest are tested one by one: the prefilter is the apex rule applied to a set.
 
-The owning edges are visited in one sweep over the edges in length order,
-a group of equal lengths D at a time.  Two bitsets per vertex carry the
-sets the rule names: ``lt[v]``, the vertices strictly nearer than D to v,
-and ``le[v]``, those within D.  A group first adds its edges to ``le`` at
-both ends, then tests each of its edges, then lets ``lt`` catch up with
+The owning edges are visited in one sweep over the edges in length order, a
+group of equal lengths D at a time.  The edges and their lengths are the
+cloud's close-pair list at the scale (:meth:`PointCloud.close_pairs`),
+which is sorted by (length, i, j): the stable sort by length of the
+lexicographic edges, with no distance matrix.  Two bitsets per vertex carry
+the sets the rule names: ``lt[v]``, the vertices strictly nearer than D to
+v, and ``le[v]``, those within D.  A group first adds its edges to ``le``
+at both ends, then tests each of its edges, then lets ``lt`` catch up with
 ``le`` at its endpoints; so during the tests ``lt`` holds exactly the edges
-of earlier groups and ``le`` those of this group too.  An edge joins the
-sets of both of its ends at once, which is right because a distance and
-its transpose are the same float: a coordinate difference negates exactly,
-and a distance matrix must be exactly symmetric.  The kept columns are
-sorted at the end, so the order of the sweep never reaches the pivots.
+of earlier groups and ``le`` those of this group too.  An edge, listed
+once, joins the sets of both of its ends at once, which is right because a
+distance and its transpose are the same float: a coordinate difference
+negates exactly, and a distance matrix must be exactly symmetric.  The kept
+columns are sorted at the end, so the order of the sweep never reaches the
+pivots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-
-import numpy as np
+from operator import itemgetter
 
 from .chain import Chain, _set_bits, components
 from .space import PointCloud, as_scale
@@ -85,15 +88,12 @@ class RipsSkeleton:
         """The (diameter, i, j, k) columns, i < j < k, that the apex test of
         the module docstring keeps, sorted; found by one length-ordered sweep."""
         n = len(self.cloud)
-        ends = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
-        lengths = self.cloud.distances()[ends[:, 0], ends[:, 1]]
-        order = np.argsort(lengths, kind="stable").tolist()
-        lengths = lengths.tolist()
+        i, j, d = self.cloud.close_pairs(self.scale)
         below = [(1 << b) - 1 for b in range(n + 1)]
         lt, le = [0] * n, [0] * n
         cols = []
-        for diam, run in groupby(order, key=lengths.__getitem__):
-            group = [self.edges[e] for e in run]
+        for diam, run in groupby(zip(d.tolist(), i.tolist(), j.tolist()), key=itemgetter(0)):
+            group = [(a, b) for _, a, b in run]
             for a, b in group:
                 le[a] |= 1 << b
                 le[b] |= 1 << a

@@ -9,9 +9,16 @@ text or floating arithmetic may break the triangle inequality by rounding,
 so a violation is forgiven when it is at most a ``1e-9`` fraction of the
 two-leg sum.  Being relative, the slack means the same at every scale.
 
-Clouds are immutable after construction.  The distance matrix and per-scale
-adjacency structures are computed lazily and cached, so repeated queries at
-the same scale are cheap and a cloud can be shared by concurrent readers.
+Clouds are immutable after construction.  Every closeness test reads one
+list of close pairs (:meth:`PointCloud.close_pairs`): the pairs i < j within
+the largest scale asked so far, with their distances, sorted by length, so
+that every smaller scale reads a prefix of it.  A coordinate cloud computes
+it in a sweep over row blocks that keeps only the pairs within the scale,
+and so never holds an n x n array; a matrix cloud reads it off its matrix.
+Each distance float is the one the full matrix (:meth:`PointCloud.distances`,
+built only when asked) holds, so no test at a scale depends on which of them
+it reads.  The list and the per-scale adjacency bitsets are computed lazily
+and cached, so repeated queries at the same scale are cheap.
 """
 
 from __future__ import annotations
@@ -33,10 +40,7 @@ class Scale:
     epsilon: float
 
     def __post_init__(self):
-        # float() would also read a string or a boolean
-        if isinstance(self.epsilon, (str, bytes, bool, np.bool_)):
-            raise TypeError(f"epsilon must be a number, not {self.epsilon!r}")
-        eps = float(self.epsilon)
+        eps = _real(self.epsilon, "epsilon")
         if not math.isfinite(eps) or eps < 0:
             raise ValueError(f"epsilon must be a finite nonnegative real, got {self.epsilon}")
         object.__setattr__(self, "epsilon", eps)
@@ -60,6 +64,7 @@ class PointCloud:
             raise ValueError("give exactly one of points or matrix")
         self.name = str(name)
         self._dist = None
+        self._pairs = None  # (radius, i, j, d): see close_pairs
         if points is not None:
             pts = _real_array(points, "points")
             if pts.size == 0:
@@ -107,47 +112,99 @@ class PointCloud:
         return f"PointCloud({self.name!r}, n={len(self)})"
 
     def distances(self) -> np.ndarray:
-        """Full pairwise distance matrix (cached)."""
+        """Full pairwise distance matrix, built only when asked (cached);
+        matrix clouds keep theirs.
+
+        Nothing in the program reads it for a coordinate cloud, whose
+        closeness tests read :meth:`close_pairs`; it is here for callers that
+        want every distance at once.  Its floats are those of the pair list.
+        """
         if self._dist is None:
-            # sqrt(dx*dx + dy*dy), written into the output one block of
-            # _DIST_ROWS rows at a time.  Each entry takes the same three
-            # operations as summing the squared differences over an (n, n, 2)
-            # array, so every float is the same, and the only temporary is
-            # one block of dy instead of an (n, n) matrix.
-            x, y = self.points.T
-            n = len(x)
+            n = len(self)
             d = np.empty((n, n))
-            dy = np.empty((min(n, _DIST_ROWS), n))
-            for r0 in range(0, n, _DIST_ROWS):
-                rows = slice(r0, r0 + _DIST_ROWS)
-                block = d[rows]
-                dy_block = dy[:len(block)]
-                np.subtract.outer(x[rows], x, out=block)
-                block *= block
-                np.subtract.outer(y[rows], y, out=dy_block)
-                dy_block *= dy_block
-                block += dy_block
-                np.sqrt(block, out=block)
+            for r0, block in self._row_blocks(upper=False):
+                d[r0:r0 + len(block)] = block
             np.fill_diagonal(d, 0.0)
             d.setflags(write=False)
             self._dist = d
         return self._dist
 
+    def _row_blocks(self, upper: bool):
+        """(r0, block) per _DIST_ROWS rows from r0: the distances from those
+        rows to every column, or only to the columns from r0 on if ``upper``.
+
+        A coordinate block is sqrt(dx*dx + dy*dy), each float taking the same
+        three operations as summing the squared differences over an (n, n, 2)
+        array, and a point pair's float does not depend on the block it is
+        computed in.  A coordinate difference negates exactly, so d(i, j) and
+        d(j, i) are the same float, as in a matrix, which must be symmetric.
+        """
+        n = len(self)
+        x, y = (None, None) if self.points is None else self.points.T
+        for r0 in range(0, n, _DIST_ROWS):
+            rows, cols = slice(r0, r0 + _DIST_ROWS), slice(r0 if upper else 0, n)
+            if self.matrix is not None:
+                yield r0, self.matrix[rows, cols]
+                continue
+            block = np.subtract.outer(x[rows], x[cols])
+            block *= block
+            dy = np.subtract.outer(y[rows], y[cols])
+            dy *= dy
+            block += dy
+            yield r0, np.sqrt(block, out=block)
+
+    def close_pairs(self, scale) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Arrays (i, j, d) of the pairs i < j at distance d <= epsilon,
+        sorted by (d, i, j).
+
+        The cloud keeps one such list, for the largest scale asked so far, and
+        answers every smaller scale with a prefix of it (read-only views).
+        A larger scale rebuilds it in one sweep over row blocks that keeps
+        what is within the scale, so no n x n array is built.  The sweep
+        meets the pairs in (i, j) order, and a stable sort by d gives the
+        rest of the order.
+        """
+        eps = as_scale(scale).epsilon
+        if self._pairs is None or self._pairs[0] < eps:
+            found = [(np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0))]
+            for r0, block in self._row_blocks(upper=True):
+                # a block's first columns are its rows: keep j > i there
+                close = block <= eps
+                h = len(block)
+                close[:, :h] &= _ABOVE_DIAGONAL[:h, :h]
+                a, c = np.nonzero(close)
+                found.append(((a + r0).astype(np.int32), (c + r0).astype(np.int32),
+                              block[a, c]))
+            i, j, d = map(np.concatenate, zip(*found))
+            order = np.argsort(d, kind="stable")
+            i, j, d = i[order], j[order], d[order]
+            for a in (i, j, d):
+                a.setflags(write=False)
+            self._pairs = (eps, i, j, d)
+        _, i, j, d = self._pairs
+        k = int(np.searchsorted(d, eps, side="right"))
+        return i[:k], j[:k], d[:k]
+
     def distance(self, i: int, j: int) -> float:
+        """The distance of one pair, computed alone with the sweep's
+        operations, so it is the float :meth:`close_pairs` and
+        :meth:`distances` hold."""
         n = len(self)
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"point index out of range: ({i}, {j}) for n={n}")
-        return float(self.distances()[i, j])
+        if self.matrix is not None:
+            return float(self.matrix[i, j])
+        (xi, yi), (xj, yj) = self.points[i].tolist(), self.points[j].tolist()
+        dx, dy = xi - xj, yi - yj
+        return math.sqrt(dx * dx + dy * dy)
 
     def neighbors(self, i: int, scale) -> list[int]:
         """Indices j != i with distance(i, j) <= epsilon, sorted."""
         n = len(self)
         if not 0 <= i < n:
             raise IndexError(f"point index out of range: {i} for n={n}")
-        eps = as_scale(scale).epsilon
-        row = self.distances()[i]
-        out = np.flatnonzero(row <= eps)
-        return [int(j) for j in out if j != i]
+        a, b, _ = self.close_pairs(scale)
+        return sorted(b[a == i].tolist() + a[b == i].tolist())
 
     def entourage_bits(self, scale) -> list[int]:
         """Per-vertex adjacency bitsets at a scale, self bit included (cached).
@@ -158,8 +215,19 @@ class PointCloud:
         eps = as_scale(scale).epsilon
         bits = self._bits_cache.get(eps)
         if bits is None:
-            close = self.distances() <= eps
-            bits = [_row_bits(row) for row in close]
+            # one row of little-endian bytes per vertex; each close pair sets
+            # a bit at both of its ends, each vertex its own.  No (row, col)
+            # comes twice, so adding the bits into their bytes ORs them
+            n = len(self)
+            i, j, _ = self.close_pairs(eps)
+            diag = np.arange(n, dtype=np.int32)
+            rows, cols = np.concatenate((i, j, diag)), np.concatenate((j, i, diag))
+            width = (n + 7) // 8
+            packed = np.zeros(n * width, np.uint8)
+            np.add.at(packed, rows.astype(np.intp) * width + (cols >> 3),
+                      np.uint8(1) << (cols & 7).astype(np.uint8))
+            raw = packed.tobytes()
+            bits = [int.from_bytes(raw[r * width:(r + 1) * width], "little") for r in range(n)]
             self._bits_cache[eps] = bits
         return bits
 
@@ -190,12 +258,7 @@ def _names(values, what: str) -> tuple[str, ...]:
 
 
 _DIST_ROWS = 64  # rows of the distance matrix computed per step
-
-
-def _row_bits(row: np.ndarray) -> int:
-    # little-endian bit packing of a boolean row into one Python int
-    packed = np.packbits(row, bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
+_ABOVE_DIAGONAL = ~np.tri(_DIST_ROWS, dtype=bool)
 
 
 _TRIANGLE_SLACK = 1e-9  # relative to the two-leg sum; see the module docstring
@@ -235,6 +298,11 @@ def _check_distance_matrix(mat: np.ndarray) -> None:
 # Example-space samplers
 # ---------------------------------------------------------------------------
 
+# the most points a sampler lays out; a sampler counts its points from its
+# parameters and refuses more before it builds any array
+MAX_POINTS = 10**6
+
+
 def crest_height(x):
     """Height of the oscillating curve used by the texas_circle family."""
     return np.sin(x) ** 2 + 1.0 / x
@@ -249,16 +317,18 @@ def texas_circle_cloud(h=0.05, h_segment=None, m_end=8.0, must_include=(), name=
     ``h_segment``.  Exact duplicate coordinates are kept once (first part
     wins), so (pi, 0) belongs to the axis part.
     """
-    h = float(h)
-    h_segment = h if h_segment is None else float(h_segment)
-    m_end = float(m_end)
-    _require_finite(h=h, h_segment=h_segment, m_end=m_end)
+    h, h_segment, m_end = _reals(h=h, h_segment=h if h_segment is None else h_segment,
+                                 m_end=m_end)
+    must_include = _coordinates(must_include)
     if h <= 0 or h_segment <= 0:
         raise ValueError("sampling steps must be strictly positive")
     if m_end * math.pi <= math.pi:
         raise ValueError("domain end m_end*pi must exceed pi")
-    xs = np.pi + h * np.arange(int(np.floor((m_end * np.pi - np.pi) / h)) + 1)
-    ys = h_segment * np.arange(int(np.floor((1 / np.pi) / h_segment)) + 1)
+    nx = _grid_points((m_end * np.pi - np.pi) / h)
+    ny = _grid_points((1 / np.pi) / h_segment)
+    _check_size(2 * nx + ny + len(must_include))
+    xs = np.pi + h * np.arange(nx)
+    ys = h_segment * np.arange(ny)
     pts: list[tuple[float, float]] = []
     labels: list[str] = []
     for x in xs:
@@ -278,6 +348,7 @@ def circle_cloud(n=360, name="circle"):
     n = operator.index(n)
     if n < 1:
         raise ValueError("need at least one point")
+    _check_size(n)
     t = 2 * np.pi * np.arange(n) / n
     pts = [(float(np.cos(a)), float(np.sin(a))) for a in t]
     return PointCloud(points=pts, name=name)
@@ -290,11 +361,13 @@ def parallel_lines_cloud(gap=1.0, step=0.04, length=5.0, must_include=(), name="
     family, so float rounding of the grid cannot push a hop past a closed
     entourage test that its real value would satisfy.
     """
-    gap, step, length = float(gap), float(step), float(length)
-    _require_finite(gap=gap, step=step, length=length)
+    gap, step, length = _reals(gap=gap, step=step, length=length)
+    must_include = _coordinates(must_include)
     if step <= 0 or length <= 0 or gap <= 0:
         raise ValueError("gap, step, and length must be strictly positive")
-    xs = step * np.arange(int(np.floor(length / step)) + 1)
+    nx = _grid_points(length / step)
+    _check_size(2 * nx + len(must_include))
+    xs = step * np.arange(nx)
     pts: list[tuple[float, float]] = []
     labels: list[str] = []
     for x in xs:
@@ -308,20 +381,48 @@ def parallel_lines_cloud(gap=1.0, step=0.04, length=5.0, must_include=(), name="
 
 def interval_cloud(length=1.0, step=0.05, name="interval"):
     """The segment [0, length] on the x-axis, sampled with step ``step``."""
-    length, step = float(length), float(step)
-    _require_finite(length=length, step=step)
+    length, step = _reals(length=length, step=step)
     if step <= 0 or length < 0:
         raise ValueError("step must be positive and length nonnegative")
-    xs = step * np.arange(int(np.floor(length / step)) + 1)
+    nx = _grid_points(length / step)
+    _check_size(nx)
+    xs = step * np.arange(nx)
     return PointCloud(points=[(float(x), 0.0) for x in xs], name=name)
 
 
-def _require_finite(**params: float) -> None:
+def _real(value, what: str) -> float:
+    # float() would also read a string or a boolean
+    if isinstance(value, (str, bytes, bool, np.bool_)):
+        raise TypeError(f"{what} must be a number, not {value!r}")
+    return float(value)
+
+
+def _reals(**params) -> list[float]:
     # checked before any grid is laid out: np.arange cannot size an infinite
     # or NaN range, and warns on the way
+    out = []
     for name, value in params.items():
+        value = _real(value, name)
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+        out.append(value)
+    return out
+
+
+def _coordinates(points) -> tuple[tuple[float, float], ...]:
+    return tuple((_real(x, "must_include"), _real(y, "must_include")) for x, y in points)
+
+
+def _grid_points(steps: float) -> int:
+    """floor(steps) + 1 grid points, or MAX_POINTS + 1 if that is more, so
+    that a huge quotient is refused by :func:`_check_size`, not converted."""
+    steps = np.floor(steps)
+    return int(steps) + 1 if steps < MAX_POINTS else MAX_POINTS + 1
+
+
+def _check_size(count: int) -> None:
+    if count > MAX_POINTS:
+        raise ValueError(f"the sample would have more than {MAX_POINTS} points")
 
 
 def _assemble(pts, labels, parts, must_include, name) -> PointCloud:
@@ -335,7 +436,6 @@ def _assemble(pts, labels, parts, must_include, name) -> PointCloud:
         out_pts.append(p)
         out_labels.append(lab)
     for m in must_include:
-        m = (float(m[0]), float(m[1]))
         if m in seen:
             continue
         if out_pts:
@@ -384,7 +484,7 @@ def generate(family: str, params=None, must_include=(), name: str = "") -> Point
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     params = params or {}
-    must_include = tuple((float(x), float(y)) for x, y in must_include)
+    must_include = _coordinates(must_include)
     keywords = set(inspect.signature(_SAMPLERS[family]).parameters)
     unknown = sorted(set(params) - (keywords - {"name", "must_include"}))
     if must_include and "must_include" not in keywords:

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from epschain import (Chain, chain_to_doc, circle_cloud, generate,
+from epschain import (Chain, PointCloud, chain_to_doc, circle_cloud, generate,
                       interval_cloud, load_cloud, parallel_lines_cloud, save_cloud,
                       texas_circle_cloud)
 from epschain.cli import run
@@ -342,6 +342,29 @@ def test_report_bytes_are_pinned(tmp_path, argv, digest):
     out = tmp_path / "report.json"
     assert run([a.format(**files) for a in argv] + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
+
+
+def test_reports_need_no_distance_matrix(tmp_path, monkeypatch):
+    # coordinate clouds answer every closeness test from their close-pair
+    # list; a command that built the full matrix would exit 4 here
+    spaces = {name: tmp_path / f"{name}.json" for name in ("circle360", "lines")}
+    assert run(["generate", "--family", "circle", "--out", str(spaces["circle360"])]) == 0
+    assert run(["generate", "--family", "parallel_lines", "--length", "2",
+                "--out", str(spaces["lines"])]) == 0
+
+    def refuse(cloud):
+        raise AssertionError("the full distance matrix was built")
+
+    monkeypatch.setattr(PointCloud, "distances", refuse)
+    out = tmp_path / "report.json"
+    for argv, digest in (
+            (["texas"], "65d7d91748265f83"),
+            (["scan", "--space", "{lines}", "--eps", "0.5", "--delta", "0.2",
+              "--sigma", "0.05"], "916385673c5ebea0"),
+            (["gp", "--space", "{circle360}", "--from", "0", "--to", "180",
+              "--filtration", "0.5,0.25,0.1"], "098241a37bb9f694")):
+        assert run([a.format(**spaces) for a in argv] + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
 
 
 def test_report_documents_are_canonical(tmp_path):

@@ -17,7 +17,6 @@ from epschain import (Chain, PointCloud, RefinementFailure, ScaleFiltration,
 from epschain.chain import _hops_from
 from epschain.documents import dumps_doc
 from epschain.joinability import _locate_exact
-from epschain.space import _row_bits
 
 
 def lshape_cloud():
@@ -246,7 +245,8 @@ def reference_dichotomy(cloud, n, mprime, delete_segment):
     if delete_segment:
         keep &= np.asarray(cloud.labels) != "segment"
     keep[xi] = keep[yi] = True
-    hops = _hops_from(cloud.entourage_bits(sigma), xi, len(cloud), ~_row_bits(keep))
+    kept = int.from_bytes(np.packbits(keep, bitorder="little").tobytes(), "little")
+    hops = _hops_from(cloud.entourage_bits(sigma), xi, len(cloud), ~kept)
     return hops[yi] < 0
 
 

@@ -1,12 +1,24 @@
 import math
+import os
+import resource
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from epschain import (Chain, PointCloud, Scale, as_scale, build, circle_cloud,
+from epschain import (Chain, PointCloud, Scale, as_scale, build, circle_cloud, components,
                       crest_height, generate, interval_cloud, load_cloud,
-                      parallel_lines_cloud, save_cloud, texas_pair, texas_sample)
+                      parallel_lines_cloud, save_cloud, texas_circle_cloud, texas_pair,
+                      texas_sample)
+from epschain import space
 from epschain.documents import DocumentError
+from epschain.joinability import _delta_pairs
+from epschain.rips import RipsSkeleton
 from epschain.space import _DIST_ROWS
 from util import random_cloud, random_scale
 
@@ -248,6 +260,7 @@ def test_triangle_check_reaches_the_last_row_block_and_tile_edges(n):
 def test_empty_cloud_roundtrip():
     cloud = PointCloud(points=[], name="empty")
     assert len(cloud) == 0
+    assert cloud.entourage_bits(1.0) == [] and components(cloud, 1.0) == []
     back = load_cloud(save_cloud(cloud))
     assert len(back) == 0
 
@@ -306,3 +319,159 @@ def test_spec_rejects_input_the_family_ignores():
         generate("circle", {"h": 0.1})
     with pytest.raises(ValueError, match="'texas_circle'"):
         generate("texas_circle", {"n": 5})
+
+
+def test_sampler_parameters_must_be_numbers():
+    # float() would read "0.5" as 0.5 and True as 1.0
+    for make in (lambda: parallel_lines_cloud(gap="0.5"),
+                 lambda: parallel_lines_cloud(step=True),
+                 lambda: parallel_lines_cloud(length=np.bool_(True)),
+                 lambda: interval_cloud(length="2"),
+                 lambda: interval_cloud(step=b"1"),
+                 lambda: texas_circle_cloud(h="0.1", m_end=4),
+                 lambda: texas_circle_cloud(h_segment=True),
+                 lambda: texas_circle_cloud(m_end="4"),
+                 lambda: generate("interval", {"length": "2"}),
+                 lambda: generate("parallel_lines", {"gap": True}),
+                 lambda: texas_sample(h="0.1"),
+                 lambda: texas_circle_cloud(must_include=[("3.5", 0.0)]),
+                 lambda: parallel_lines_cloud(must_include=[(0.5, True)]),
+                 lambda: generate("texas_circle", must_include=[(np.bool_(True), 0.0)])):
+        with pytest.raises(TypeError):
+            make()
+    # NumPy and integer numbers still pass, and give the same sample
+    assert np.array_equal(interval_cloud(length=np.float32(2), step=np.int64(1)).points,
+                          interval_cloud(length=2.0, step=1.0).points)
+
+
+def test_samplers_count_their_points_against_the_cap(monkeypatch):
+    # the count is taken from the parameters, must_include points included;
+    # a small cap keeps a broken check from laying out many points here
+    monkeypatch.setattr(space, "MAX_POINTS", 41)
+    assert len(interval_cloud(length=2)) == 41
+    with pytest.raises(ValueError, match="more than 41 points"):
+        interval_cloud(length=2.1)
+    monkeypatch.setattr(space, "MAX_POINTS", 252)
+    assert len(parallel_lines_cloud(gap=0.5)) == 252
+    with pytest.raises(ValueError):
+        parallel_lines_cloud(gap=0.5, must_include=[(0.01, 0.02)])
+    assert len(circle_cloud(252)) == 252
+    with pytest.raises(ValueError):
+        circle_cloud(253)
+    # 95 curve, 95 axis and 4 segment points, one of them twice: the cap
+    # counts the grid before duplicates are dropped
+    monkeypatch.setattr(space, "MAX_POINTS", 194)
+    assert len(texas_circle_cloud(h=0.1, m_end=4)) == 193
+    with pytest.raises(ValueError):
+        texas_sample(h=0.1, m_end=4)
+
+
+_CAPPED_CALLS = """
+from epschain import space
+calls = ["interval_cloud(step=1e-8)", "interval_cloud(length=1e308, step=1e-308)",
+         "parallel_lines_cloud(step=1e-7)", "texas_circle_cloud(h=1e-300)",
+         "texas_circle_cloud(h_segment=1e-9)", "circle_cloud(10**6 + 1)",
+         "generate('interval', {'step': 1e-8})"]
+for call in calls:
+    try:
+        eval("space." + call)
+    except ValueError as exc:
+        print(call, "->", exc)
+"""
+
+
+def _run_memory_capped(*args):
+    # under a 512 MB address-space cap, a sampler that laid out 10^7 points
+    # or more would end in MemoryError instead of taking the host's memory
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", *args], env=env, preexec_fn=cap_memory,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_samplers_refuse_more_than_max_points():
+    run = _run_memory_capped(_CAPPED_CALLS)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.count("-> the sample would have more than 1000000 points") == 7
+
+
+def test_generate_above_the_point_cap_exits_2_before_it_allocates():
+    # without the cap this run exits 4 with MemoryError
+    run = _run_memory_capped("from epschain.cli import main; main()",
+                             "generate", "--family", "interval", "--step", "1e-8")
+    assert run.returncode == 2, run.stderr
+    assert "more than 1000000 points" in run.stderr
+
+
+def test_rounding_decides_the_pairs_the_list_keeps():
+    # step = sigma puts every hop at sigma in exact arithmetic; rounding
+    # keeps some hops and drops others, leaving 90 components where exact
+    # arithmetic gives 2, and the pair list must keep exactly those hops
+    assert len(components(parallel_lines_cloud(step=0.05), 0.05)) == 90
+
+
+def _bits_from_matrix(d, eps):
+    return [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+            for row in d <= eps]
+
+
+@st.composite
+def clouds_with_duplicates(draw):
+    # lattice coordinates make tied and zero distances; sizes reach past a
+    # row block of the sweep
+    coordinate = st.one_of(st.integers(-3, 3).map(float),
+                           st.floats(-3, 3, allow_nan=False, allow_infinity=False))
+    base = draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=_DIST_ROWS + 6))
+    copies = draw(st.lists(st.integers(0, len(base) - 1), max_size=12))
+    pts = base + [base[k] for k in copies]
+    order = draw(st.permutations(range(len(pts))))
+    return PointCloud(points=[pts[k] for k in order])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(clouds_with_duplicates(), st.data())
+def test_pair_list_gives_what_the_distance_matrix_gives(cloud, data):
+    d = cloud.distances()
+    n = len(cloud)
+    upper = np.triu_indices(n, 1)
+    lengths = np.unique(np.append(d[upper], 0.0))
+    # scales on distances, so ties sit at eps, asked in any order, so that
+    # lists are both rebuilt and read as prefixes
+    scale = st.one_of(st.sampled_from(lengths.tolist()), st.floats(0, 9))
+    for eps in data.draw(st.lists(scale, min_size=1, max_size=4)):
+        assert cloud.entourage_bits(eps) == _bits_from_matrix(d, eps)
+        want = [(i, j, float(d[i, j])) for i, j in zip(*np.nonzero(np.triu(d <= eps, 1)))]
+        got, policy = _delta_pairs(cloud, eps, seed=0)
+        assert policy == "all"
+        assert np.array(got).tobytes() == np.array(want).reshape(-1, 3).tobytes()
+        # the sweep's length order is the stable sort of the matrix's lengths
+        # of the lexicographic edges, the order the reduction read them in
+        skel = RipsSkeleton(cloud, eps)
+        ends = np.array(skel.edges, dtype=np.intp).reshape(-1, 2)
+        edge_lengths = d[ends[:, 0], ends[:, 1]]
+        order = np.argsort(edge_lengths, kind="stable")
+        i, j, dist = cloud.close_pairs(eps)
+        assert np.array_equal(np.column_stack((i, j)), ends[order])
+        assert dist.tobytes() == edge_lengths[order].tobytes()
+        # and a matrix cloud, whose pairs are the matrix's own entries
+        assert skel._columns() == RipsSkeleton(PointCloud(matrix=d), eps)._columns()
+    every = np.array([cloud.distance(i, j) for i in range(n) for j in range(n)])
+    assert every.tobytes() == d.tobytes()
+
+
+def test_entourage_bits_build_no_square_array():
+    rng = np.random.default_rng(11)
+    n = 3000
+    cloud = PointCloud(points=rng.uniform(0.0, 10.0, size=(n, 2)))
+    tracemalloc.start()
+    try:
+        bits = cloud.entourage_bits(0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 4
+    assert sum(b.bit_count() for b in bits) == n + 2 * len(cloud.close_pairs(0.05)[0])
